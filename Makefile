@@ -9,33 +9,26 @@
 #                  that touches a parallel loop.
 #   make cover   — full suite with coverage; prints the total and writes
 #                  cover.out (the baseline figure lives in EXPERIMENTS.md)
-#   make lint    — invariant gate: runs the in-tree gpowerlint analyzers
-#                  (internal/lint; see DESIGN.md §9) over ./... and fails on
-#                  any diagnostic. Mechanically enforces determinism
-#                  (maporder, floateq), cancellation (ctxflow), error
-#                  taxonomy (senterr), pooled-spawn (gonosync),
-#                  disjoint-write (disjointwrite, with method-mutation
-#                  summaries), unit-provenance (unitflow, with cross-package
-#                  facts), snapshot-coherence (atomicsnap), serving-boundary
-#                  (httpbound), wire-unit (dtounits) and live-suppression
-#                  (unusedignore) invariants; must stay green on every PR.
-#                  Incremental and parallel: per-package results are cached
-#                  under $$(os.UserCacheDir())/gpowerlint (DESIGN.md §9.9),
-#                  directory groups run on the internal/parallel pool with
-#                  byte-identical output (DESIGN.md §9.13), and the target
-#                  prints its wall time so cache regressions are visible in
-#                  CI logs.
-#   make alloccheck — zero-allocation gate: interprocedurally proves every
-#                  //gpower:noalloc-annotated hot-path root allocation-free
-#                  (internal/alloccheck; see DESIGN.md §13), failing on any
-#                  unproven root, reasonless //gpower:allocs hatch, or dead
-#                  hatch. Runs the prover twice (cold, then warm over the OS
-#                  page cache), requires byte-identical reports, and prints
-#                  both wall times like `make lint`; must stay green on
-#                  every PR.
-#   make lint-bench — cold-serial vs cold-parallel vs warm timing into fresh
-#                  facts dirs; the numbers recorded in EXPERIMENTS.md come
-#                  from here. GPUPOWER_SEQUENTIAL=1 pins the serial leg.
+#   make lint    — static gate: one gpowerlint run loads and type-checks the
+#                  module once, then (1) runs the in-tree analyzers
+#                  (internal/lint; see DESIGN.md §9) over ./..., failing on
+#                  any diagnostic, and (2) over the same packages
+#                  interprocedurally proves every //gpower:noalloc hot-path
+#                  root allocation-free (internal/alloccheck; see DESIGN.md
+#                  §13), failing on any unproven root, reasonless
+#                  //gpower:allocs hatch, or dead hatch. The analyzers
+#                  mechanically enforce determinism (maporder, floateq),
+#                  cancellation (ctxflow), error taxonomy (senterr),
+#                  pooled-spawn (gonosync), disjoint-write (disjointwrite,
+#                  with method-mutation summaries), unit-provenance
+#                  (unitflow, with cross-package facts), snapshot-coherence
+#                  (atomicsnap), serving-boundary (httpbound), wire-unit
+#                  (dtounits) and live-suppression (unusedignore)
+#                  invariants. Builds the binary once, runs it twice (cold,
+#                  then warm over the OS page cache), requires
+#                  byte-identical reports and prints both wall times; must
+#                  stay green on every PR.
+#   make alloccheck — alias of make lint (the proof runs inside gpowerlint).
 #   make bench   — regenerate the paper's tables/figures (EXPERIMENTS.md numbers)
 #   make speedup — serial vs parallel Estimate comparison per device catalog
 #   make bench-json — run the perf-relevant Go benchmarks plus the speedup
@@ -62,6 +55,7 @@ BENCHTIME ?= 1x
 
 # The benchmark subset bench-json records: the estimation and DVFS hot
 # paths this repo optimizes, not the full paper-figure regeneration suite.
+# They live in the root package and internal/cluster; bench-json runs both.
 BENCH_JSON_PATTERN = 'Benchmark(Predict|NNLS(Cold)?|Isotonic|DVFSSearch|EvaluateOperatingPoints|FindBestConfigWarm|Estimate(Serial|Parallel|Reference)|FleetFit|ClusterEvents)$$'
 
 # bench-json regression gate: the estimate-fit speedup rows for the large
@@ -85,7 +79,7 @@ CLUSTER_GPUS ?= 1000
 CLUSTER_HORIZON ?= 20
 MIN_CLUSTER_EVENTS ?= 1000000
 
-.PHONY: all build test verify vet race lint alloccheck lint-bench cover bench speedup bench-json clean
+.PHONY: all build test verify vet race lint alloccheck cover bench speedup bench-json clean
 
 all: verify
 
@@ -103,50 +97,25 @@ vet:
 race: vet
 	$(GO) test -race ./...
 
+# lint runs the prebuilt gate twice over the same tree: the reports must be
+# byte-identical (the determinism contract of DESIGN.md §9 and §13), and
+# both wall times are printed so a slowdown is visible in CI logs.
 lint:
-	@start=$$(date +%s%N); \
-	$(GO) run ./cmd/gpowerlint -cache-stats ./...; status=$$?; \
-	end=$$(date +%s%N); \
-	echo "lint: $$(( (end - start) / 1000000 )) ms wall"; \
-	exit $$status
-
-# alloccheck proves the annotated hot paths twice with a prebuilt binary:
-# a cold run and a warm run over the same tree. The reports must be
-# byte-identical (the determinism contract of DESIGN.md §13); both wall
-# times are printed so a prover slowdown is visible in CI logs.
-alloccheck:
 	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/alloccheck" ./cmd/alloccheck || exit $$?; \
+	$(GO) build -o "$$tmp/gpowerlint" ./cmd/gpowerlint || exit $$?; \
 	start=$$(date +%s%N); \
-	"$$tmp/alloccheck" ./... > "$$tmp/cold.txt"; status=$$?; \
+	"$$tmp/gpowerlint" ./... > "$$tmp/cold.txt"; status=$$?; \
 	end=$$(date +%s%N); cold=$$(( (end - start) / 1000000 )); \
 	cat "$$tmp/cold.txt"; \
 	[ $$status -eq 0 ] || exit $$status; \
 	start=$$(date +%s%N); \
-	"$$tmp/alloccheck" ./... > "$$tmp/warm.txt"; status=$$?; \
+	"$$tmp/gpowerlint" ./... > "$$tmp/warm.txt"; status=$$?; \
 	end=$$(date +%s%N); warm=$$(( (end - start) / 1000000 )); \
 	[ $$status -eq 0 ] || exit $$status; \
-	cmp -s "$$tmp/cold.txt" "$$tmp/warm.txt" || { echo "alloccheck: cold and warm reports differ"; exit 1; }; \
-	echo "alloccheck: cold $$cold ms, warm $$warm ms"
+	cmp -s "$$tmp/cold.txt" "$$tmp/warm.txt" || { echo "lint: cold and warm reports differ"; exit 1; }; \
+	echo "lint: cold $$cold ms, warm $$warm ms"
 
-# lint-bench times cold runs (fresh facts dir: full parse + type check of
-# the module) serial (GPUPOWER_SEQUENTIAL=1) and parallel, then a warm run
-# over the identical tree, using a prebuilt binary so `go run` compilation
-# noise stays out of the measurements. Output is byte-identical across all
-# three; only the wall clock moves.
-lint-bench:
-	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/gpowerlint" ./cmd/gpowerlint; \
-	start=$$(date +%s%N); \
-	GPUPOWER_SEQUENTIAL=1 "$$tmp/gpowerlint" -cache-stats -facts-dir "$$tmp/facts-serial" ./... || exit $$?; \
-	end=$$(date +%s%N); coldserial=$$(( (end - start) / 1000000 )); \
-	start=$$(date +%s%N); \
-	"$$tmp/gpowerlint" -cache-stats -facts-dir "$$tmp/facts" ./... || exit $$?; \
-	end=$$(date +%s%N); cold=$$(( (end - start) / 1000000 )); \
-	start=$$(date +%s%N); \
-	"$$tmp/gpowerlint" -cache-stats -facts-dir "$$tmp/facts" ./... || exit $$?; \
-	end=$$(date +%s%N); warm=$$(( (end - start) / 1000000 )); \
-	echo "lint-bench: cold-serial $$coldserial ms, cold-parallel $$cold ms, warm $$warm ms"
+alloccheck: lint
 
 cover:
 	$(GO) test -coverprofile=cover.out -coverpkg=./... ./...
@@ -159,7 +128,7 @@ speedup:
 	$(GO) test -run NONE -bench 'BenchmarkEstimate(Serial|Parallel)' -benchtime 3x ./
 
 bench-json:
-	$(GO) test -run NONE -bench $(BENCH_JSON_PATTERN) -benchmem -benchtime $(BENCHTIME) ./ | tee bench_raw.txt
+	$(GO) test -run NONE -bench $(BENCH_JSON_PATTERN) -benchmem -benchtime $(BENCHTIME) ./ ./internal/cluster/ | tee bench_raw.txt
 	$(GO) run ./cmd/benchjson -bench bench_raw.txt -o BENCH_results.json \
 		-min-estimate-speedup $(MIN_ESTIMATE_SPEEDUP) \
 		-serve-duration $(SERVE_DURATION) -serve-conns $(SERVE_CONNS) \

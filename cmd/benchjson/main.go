@@ -273,7 +273,7 @@ func main() {
 	}
 
 	acStart := time.Now()
-	acRes, _, err := alloccheck.CheckModule(".")
+	acRes, err := alloccheck.CheckModule(".")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: alloccheck: %v\n", err)
 		os.Exit(1)
@@ -313,7 +313,7 @@ func main() {
 	// run still leaves the numbers on disk for diagnosis. The alloccheck
 	// gate has no knob: an unproven hot-path root is always a regression.
 	if !acRes.Clean() {
-		fmt.Fprintf(os.Stderr, "benchjson: alloccheck: %d of %d roots unproven, %d directive errors (run `go run ./cmd/alloccheck ./...` for the findings)\n",
+		fmt.Fprintf(os.Stderr, "benchjson: alloccheck: %d of %d roots unproven, %d directive errors (run `go run ./cmd/gpowerlint ./...` for the findings)\n",
 			acRes.RootCount-acRes.ProvenCount, acRes.RootCount, len(acRes.DirectiveErrors))
 		os.Exit(1)
 	}

@@ -1,7 +1,6 @@
-// Command gpowerlint is the repository's domain-invariant static-analysis
-// gate (DESIGN.md §9). It type-checks the module from source — standard
-// library only, no toolchain or x/tools dependency — and runs every
-// registered analyzer:
+// Command gpowerlint is the repository's static gate (DESIGN.md §9, §13). It
+// type-checks the module from source once — standard library only, no
+// toolchain or x/tools dependency — then runs every registered analyzer:
 //
 //	maporder      range-over-map bodies with order-sensitive effects
 //	floateq       exact floating-point == / !=
@@ -19,188 +18,137 @@
 //	dtounits      DTO field names whose unit disagrees with their json tag
 //	unusedignore  //lint:ignore directives that suppressed zero diagnostics
 //
-// Directory groups are analyzed concurrently on the internal/parallel worker
-// pool; output is byte-identical to the serial order (diagnostics are merged
-// and sorted into a total order). Set GPUPOWER_SEQUENTIAL=1 to force the
-// serial path when isolating an engine issue or benchmarking the speedup.
+// and, over the same loaded packages, the alloccheck proof: every
+// //gpower:noalloc root must be allocation-free across its whole static call
+// graph, judged on production files only (_test.go files are skipped).
 //
 // Usage:
 //
 //	gpowerlint [flags] [./...]
 //
-//	-json             machine-readable output
-//	-analyzers list   run only the named analyzers (comma-separated)
+//	-json             one JSON object: {"diagnostics": [...], "alloccheck": {...}}
+//	-analyzers list   run only the named analyzers (comma-separated); the
+//	                  alloccheck proof always runs
 //	-tests=false      skip _test.go files
-//	-changed ref      report only diagnostics in files touched since the
-//	                  git ref (diff + untracked, rename-aware); the whole
-//	                  module is still analyzed, only the report is filtered
 //	-list             print the analyzers and their invariants, then exit
-//	-facts-dir dir    where per-package results are cached (default:
-//	                  os.UserCacheDir()/gpowerlint); unchanged packages are
-//	                  replayed from disk without re-type-checking
-//	-no-cache         ignore and do not write the facts cache
-//	-cache-stats      print hit/miss and GC counts to stderr after the run
-//	-cache-gc-age     evict entries not written for this long (default 168h)
-//	-cache-gc-max-mb  then evict oldest-first down to this size (default 64)
 //
-// Exit status: 0 clean, 1 diagnostics (or bad //lint:ignore directives)
-// found, 2 usage, load or type-check failure. Findings are suppressed
-// site-by-site with `//lint:ignore <analyzer> <reason>`.
+// Text output is the lint diagnostics followed by the alloccheck report.
+// Exit status: 0 clean, 1 diagnostics, bad //lint:ignore directives, an
+// unproven root or a bad alloccheck directive, 2 usage, load or type-check
+// failure. Findings are suppressed site-by-site with
+// `//lint:ignore <analyzer> <reason>` and `//gpower:allocs <reason>`.
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"path/filepath"
-	"regexp"
 	"strings"
-	"time"
 
+	"gpupower/internal/alloccheck"
 	"gpupower/internal/lint"
 	"gpupower/internal/lint/analyzers"
-	"gpupower/internal/lint/cache"
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit diagnostics as JSON")
-	only := flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-	tests := flag.Bool("tests", true, "also analyze _test.go files")
-	changed := flag.String("changed", "", "report only diagnostics in files changed since this git ref")
-	list := flag.Bool("list", false, "list analyzers and exit")
-	factsDir := flag.String("facts-dir", "", "per-package result cache directory (default: os.UserCacheDir()/gpowerlint)")
-	noCache := flag.Bool("no-cache", false, "ignore and do not write the facts cache")
-	cacheStats := flag.Bool("cache-stats", false, "print cache hit/miss counts to stderr")
-	gcAge := flag.Duration("cache-gc-age", 168*time.Hour, "evict cache entries not written for this long (0 disables the age bound)")
-	gcMaxMB := flag.Int64("cache-gc-max-mb", 64, "evict oldest cache entries until the cache fits this many MiB (0 disables the size bound)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command over explicit arguments and streams, returning
+// the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("gpowerlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	jsonOut := fs.Bool("json", false, "emit diagnostics and the alloccheck result as one JSON object")
+	only := fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
+	tests := fs.Bool("tests", true, "also analyze _test.go files")
+	list := fs.Bool("list", false, "list analyzers and exit")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "gpowerlint: %v\n", err)
+		return 2
+	}
 
 	as := analyzers.All()
 	if *only != "" {
 		sel, ok := analyzers.ByName(*only)
 		if !ok || len(sel) == 0 {
-			fmt.Fprintf(os.Stderr, "gpowerlint: unknown analyzer in -analyzers=%q\n", *only)
-			os.Exit(2)
+			return fail(fmt.Errorf("unknown analyzer in -analyzers=%q", *only))
 		}
 		as = sel
 	}
 	if *list {
 		for _, a := range as {
-			fmt.Printf("%s\n    %s\n", a.Name, strings.ReplaceAll(a.Doc, "\n", "\n    "))
+			fmt.Fprintf(stdout, "%s\n    %s\n", a.Name, strings.ReplaceAll(a.Doc, "\n", "\n    "))
 		}
-		return
+		return 0
 	}
-
-	for _, arg := range flag.Args() {
+	for _, arg := range fs.Args() {
 		if arg != "./..." && arg != "..." {
-			fmt.Fprintf(os.Stderr, "gpowerlint: only the ./... pattern is supported (got %q)\n", arg)
-			os.Exit(2)
+			return fail(fmt.Errorf("only the ./... pattern is supported (got %q)", arg))
 		}
 	}
 
-	root, modPath, err := findModule(".")
+	root, modPath, err := lint.FindModule(".")
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gpowerlint: %v\n", err)
-		os.Exit(2)
+		return fail(err)
 	}
 	loader := lint.NewLoader(root, modPath)
 	loader.Tests = *tests
+	pkgs, err := loader.LoadAll()
+	if err != nil {
+		return fail(err)
+	}
 	// The full registry stays the directive vocabulary even when -analyzers
 	// selects a subset: an ignore for an analyzer that merely did not run
 	// this time is dormant, not unknown.
 	runner := &lint.Runner{Analyzers: as, Known: analyzers.KnownNames()}
-
-	var res *lint.Result
-	if *noCache {
-		pkgs, err := loader.LoadAll()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gpowerlint: %v\n", err)
-			os.Exit(2)
-		}
-		res, err = runner.Run(pkgs)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gpowerlint: %v\n", err)
-			os.Exit(2)
-		}
-	} else {
-		dir := *factsDir
-		if dir == "" {
-			base, err := os.UserCacheDir()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "gpowerlint: no user cache dir (set -facts-dir or -no-cache): %v\n", err)
-				os.Exit(2)
-			}
-			dir = filepath.Join(base, "gpowerlint")
-		}
-		var stats *cache.Stats
-		var err error
-		res, stats, err = cache.Run(loader, runner, dir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gpowerlint: %v\n", err)
-			os.Exit(2)
-		}
-		if *cacheStats {
-			fmt.Fprintf(os.Stderr, "gpowerlint: cache %s\n", stats)
-		}
-		// Bounded cache: every source edit orphans an entry under its old
-		// content key, so long-lived machines need eviction. GC failures
-		// are non-fatal — the cache can be slow to shrink, never break a run.
-		gcStats, gcErr := cache.GC(dir, cache.GCOptions{MaxAge: *gcAge, MaxBytes: *gcMaxMB << 20})
-		if gcErr != nil {
-			fmt.Fprintf(os.Stderr, "gpowerlint: %v\n", gcErr)
-		} else if *cacheStats {
-			fmt.Fprintf(os.Stderr, "gpowerlint: %s\n", gcStats)
-		}
+	res, err := runner.Run(pkgs)
+	if err != nil {
+		return fail(err)
 	}
-	if *changed != "" {
-		set, err := lint.ChangedSince(root, *changed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "gpowerlint: %v\n", err)
-			os.Exit(2)
-		}
-		res.Diagnostics = lint.FilterChanged(res.Diagnostics, set, root)
-	}
+	proof := alloccheck.Check(pkgs, modPath)
 
 	cwd, _ := os.Getwd()
 	if *jsonOut {
-		if err := lint.WriteJSON(os.Stdout, cwd, res.Diagnostics); err != nil {
-			fmt.Fprintf(os.Stderr, "gpowerlint: %v\n", err)
-			os.Exit(2)
-		}
-	} else if err := lint.WriteText(os.Stdout, cwd, res.Diagnostics); err != nil {
-		fmt.Fprintf(os.Stderr, "gpowerlint: %v\n", err)
-		os.Exit(2)
+		err = writeJSON(stdout, cwd, res, proof)
+	} else if err = lint.WriteText(stdout, cwd, res.Diagnostics); err == nil {
+		err = proof.WriteText(stdout, cwd)
+	}
+	if err != nil {
+		return fail(err)
 	}
 	for _, derr := range res.DirectiveErrors {
-		fmt.Fprintf(os.Stderr, "gpowerlint: %v\n", derr)
+		fmt.Fprintf(stderr, "gpowerlint: %v\n", derr)
 	}
-	if len(res.Diagnostics) > 0 || len(res.DirectiveErrors) > 0 {
-		os.Exit(1)
+	if len(res.Diagnostics) > 0 || len(res.DirectiveErrors) > 0 || !proof.Clean() {
+		return 1
 	}
+	return 0
 }
 
-var moduleRe = regexp.MustCompile(`(?m)^module\s+(\S+)`)
-
-// findModule walks upward from dir to the enclosing go.mod and returns the
-// module root directory and module path.
-func findModule(dir string) (string, string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
+// writeJSON emits both gates as one indented object, each part in the shape
+// its own writer produces.
+func writeJSON(w io.Writer, base string, res *lint.Result, proof *alloccheck.Result) error {
+	var diags, ac bytes.Buffer
+	if err := lint.WriteJSON(&diags, base, res.Diagnostics); err != nil {
+		return err
 	}
-	for {
-		data, err := os.ReadFile(filepath.Join(abs, "go.mod"))
-		if err == nil {
-			m := moduleRe.FindSubmatch(data)
-			if m == nil {
-				return "", "", fmt.Errorf("no module directive in %s", filepath.Join(abs, "go.mod"))
-			}
-			return abs, string(m[1]), nil
-		}
-		parent := filepath.Dir(abs)
-		if parent == abs {
-			return "", "", fmt.Errorf("no go.mod found above %s (run from inside the module)", dir)
-		}
-		abs = parent
+	if err := proof.WriteJSON(&ac, base); err != nil {
+		return err
 	}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(struct {
+		Diagnostics json.RawMessage `json:"diagnostics"`
+		Alloccheck  json.RawMessage `json:"alloccheck"`
+	}{diags.Bytes(), ac.Bytes()})
 }

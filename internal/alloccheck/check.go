@@ -9,9 +9,11 @@
 // sites (cold miss paths, warm-up growth) with //lint:ignore discipline:
 // reasons are mandatory and dead hatches are errors.
 //
-// alloccheck is a standalone verification subsystem, not a gpowerlint
-// analyzer; it reuses the concurrent single-flight lint.Loader purely as a
-// type-checking library. Verdicts are memoized per function with cycle
+// alloccheck is not a gpowerlint analyzer — it proves whole call graphs
+// rather than reporting per-package findings — but cmd/gpowerlint runs it
+// over the packages its analyzers already loaded, so both gates share one
+// parse and type check. The proof reads production files only: tests
+// measure, they do not serve. Verdicts are memoized per function with cycle
 // tainting (a verdict computed through an in-progress call chain is never
 // cached), so output is deterministic and position-ordered regardless of
 // which root is proven first. DESIGN.md §13 documents the semantics and
@@ -24,6 +26,7 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
+	"strings"
 
 	"gpupower/internal/lint"
 )
@@ -89,8 +92,8 @@ func (r *Result) Clean() bool {
 	return len(r.DirectiveErrors) == 0 && r.ProvenCount == r.RootCount
 }
 
-// Checker proves //gpower:noalloc roots over a loaded module.
-type Checker struct {
+// checker proves //gpower:noalloc roots over a loaded module.
+type checker struct {
 	pkgs    []*lint.Package
 	units   map[*types.Func]*funcUnit
 	modPath string
@@ -106,19 +109,40 @@ type Checker struct {
 	walkedByPos []*funcUnit              // units with computed locals, discovery order
 }
 
-// NewChecker loads every package reachable from the loader's root and
-// builds the function index. The loader decides whether _test.go files
-// participate (Loader.Tests).
-func NewChecker(loader *lint.Loader, modPath string) (*Checker, error) {
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		return nil, fmt.Errorf("alloccheck: load: %w", err)
-	}
-	return newChecker(pkgs, modPath), nil
+// Check proves every //gpower:noalloc root in the production files of pkgs
+// and reports the outcome. _test.go files are dropped before indexing, so a
+// load with or without tests yields the same proof. The walk order is fixed
+// by source position, memoized verdicts are chain-independent, and all
+// output slices are position-sorted, so two runs over the same tree produce
+// byte-identical reports.
+func Check(pkgs []*lint.Package, modPath string) *Result {
+	return newChecker(production(pkgs), modPath).check()
 }
 
-func newChecker(pkgs []*lint.Package, modPath string) *Checker {
-	c := &Checker{
+// production returns pkgs restricted to their non-test files; packages left
+// with no files (external test packages) are dropped. The copies share
+// type information with the originals.
+func production(pkgs []*lint.Package) []*lint.Package {
+	var out []*lint.Package
+	for _, pkg := range pkgs {
+		var files []*ast.File
+		for _, f := range pkg.Files {
+			if !strings.HasSuffix(pkg.Fset.Position(f.Package).Filename, "_test.go") {
+				files = append(files, f)
+			}
+		}
+		if len(files) == 0 {
+			continue
+		}
+		prod := *pkg
+		prod.Files = files
+		out = append(out, &prod)
+	}
+	return out
+}
+
+func newChecker(pkgs []*lint.Package, modPath string) *checker {
+	c := &checker{
 		pkgs:       pkgs,
 		modPath:    modPath,
 		units:      make(map[*types.Func]*funcUnit),
@@ -152,11 +176,7 @@ func newChecker(pkgs []*lint.Package, modPath string) *Checker {
 	return c
 }
 
-// Check proves every annotated root in the module and reports the outcome.
-// The walk order is fixed by source position, memoized verdicts are
-// chain-independent, and all output slices are position-sorted, so two runs
-// over the same tree produce byte-identical reports.
-func (c *Checker) Check() *Result {
+func (c *checker) check() *Result {
 	roots := c.findRoots()
 	res := &Result{DirectiveErrors: append([]string(nil), c.dirErrs...)}
 	for _, u := range roots {
@@ -200,7 +220,7 @@ func (c *Checker) Check() *Result {
 }
 
 // findRoots returns every //gpower:noalloc function, position-ordered.
-func (c *Checker) findRoots() []*funcUnit {
+func (c *checker) findRoots() []*funcUnit {
 	var roots []*funcUnit
 	for _, pkg := range c.pkgs {
 		for _, f := range pkg.Files {
@@ -235,7 +255,7 @@ func (c *Checker) findRoots() []*funcUnit {
 
 // local computes (once) the intra-procedural analysis of fn: raw sites are
 // collected, escape hatches applied, and the surviving sites sorted.
-func (c *Checker) local(fn *types.Func) *localInfo {
+func (c *checker) local(fn *types.Func) *localInfo {
 	if li, ok := c.locals[fn]; ok {
 		return li
 	}
@@ -264,7 +284,7 @@ func (c *Checker) local(fn *types.Func) *localInfo {
 	return li
 }
 
-func (c *Checker) coveringHatch(pos token.Position) *hatch {
+func (c *checker) coveringHatch(pos token.Position) *hatch {
 	for _, h := range c.hatches[pos.Filename] {
 		if h.covers(pos) {
 			return h
@@ -279,7 +299,7 @@ func (c *Checker) coveringHatch(pos token.Position) *hatch {
 // at that member and propagated to the entry point. Verdicts computed
 // through an in-progress chain are tainted and never memoized, which makes
 // the memo contents independent of which root was proven first.
-func (c *Checker) prove(fn *types.Func) verdict {
+func (c *checker) prove(fn *types.Func) verdict {
 	if v, ok := c.verdicts[fn]; ok {
 		return *v
 	}
@@ -328,7 +348,7 @@ func (c *Checker) prove(fn *types.Func) verdict {
 
 // reachable counts the distinct functions and applied escape hatches in
 // fn's static call graph.
-func (c *Checker) reachable(fn *types.Func) (functions, hatches int) {
+func (c *checker) reachable(fn *types.Func) (functions, hatches int) {
 	seen := map[*types.Func]bool{fn: true}
 	queue := []*types.Func{fn}
 	dirs := make(map[*hatch]bool)
@@ -350,7 +370,7 @@ func (c *Checker) reachable(fn *types.Func) (functions, hatches int) {
 
 // distinctDirs returns the distinct hatches applied inside fn (direct-site
 // suppressions plus call-edge suppressions).
-func (c *Checker) distinctDirs(fn *types.Func) []*hatch {
+func (c *checker) distinctDirs(fn *types.Func) []*hatch {
 	li := c.locals[fn]
 	if li == nil {
 		return nil

@@ -1,6 +1,7 @@
 package alloccheck_test
 
 import (
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,12 +13,18 @@ import (
 // runFixture proves a GOPATH-style fixture tree under testdata/<name>/src.
 func runFixture(t *testing.T, fixture string) *alloccheck.Result {
 	t.Helper()
-	loader := lint.NewLoader(filepath.Join("testdata", fixture, "src"), "")
-	c, err := alloccheck.NewChecker(loader, "")
+	return checkModule(t, filepath.Join("testdata", fixture, "src"), "")
+}
+
+// checkModule loads every package under dir from scratch, tests included —
+// the load cmd/gpowerlint shares with its analyzers — and proves it.
+func checkModule(t *testing.T, dir, modPath string) *alloccheck.Result {
+	t.Helper()
+	pkgs, err := lint.NewLoader(dir, modPath).LoadAll()
 	if err != nil {
-		t.Fatalf("load fixture %s: %v", fixture, err)
+		t.Fatalf("load %s: %v", dir, err)
 	}
-	return c.Check()
+	return alloccheck.Check(pkgs, modPath)
 }
 
 func rootsByName(t *testing.T, res *alloccheck.Result) map[string]*alloccheck.RootResult {
@@ -233,5 +240,39 @@ func TestDirectiveErrors(t *testing.T) {
 	}
 	if _, ok := roots["e.Bodyless"]; ok {
 		t.Error("e.Bodyless: bodyless declarations must not become roots")
+	}
+}
+
+// TestProofSkipsTestFiles pins which files the proof reads. The fixture's
+// tf_test.go declares a //gpower:noalloc root that appends and a dead
+// //gpower:allocs hatch; a load with tests must report neither. The same
+// file under a production name must fail with an [append] finding.
+func TestProofSkipsTestFiles(t *testing.T) {
+	src := filepath.Join("testdata", "testfiles", "src")
+	res := checkModule(t, src, "")
+	if !res.Clean() || res.RootCount != 1 || res.Roots[0].Func != "tf.Sum" {
+		t.Fatalf("with-tests load: roots %v, directive errors %v; want only tf.Sum, proven", res.Roots, res.DirectiveErrors)
+	}
+
+	dst := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(dst, "tf"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for from, to := range map[string]string{"tf.go": "tf.go", "tf_test.go": "grow.go"} {
+		data, err := os.ReadFile(filepath.Join(src, "tf", from))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, "tf", to), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res = checkModule(t, dst, "")
+	var report strings.Builder
+	if err := res.WriteText(&report, dst); err != nil {
+		t.Fatal(err)
+	}
+	if res.Clean() || !strings.Contains(report.String(), "tf/grow.go:7:9: [append]") {
+		t.Fatalf("production copy of grow must fail with an [append] finding:\n%s", report.String())
 	}
 }

@@ -2,53 +2,24 @@ package alloccheck
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"regexp"
 
 	"gpupower/internal/lint"
 )
 
-var moduleRe = regexp.MustCompile(`(?m)^module\s+(\S+)`)
-
-// FindModule walks upward from dir to the enclosing go.mod and returns the
-// module root directory and module path.
-func FindModule(dir string) (string, string, error) {
-	abs, err := filepath.Abs(dir)
-	if err != nil {
-		return "", "", err
-	}
-	for {
-		data, err := os.ReadFile(filepath.Join(abs, "go.mod"))
-		if err == nil {
-			m := moduleRe.FindSubmatch(data)
-			if m == nil {
-				return "", "", fmt.Errorf("no module directive in %s", filepath.Join(abs, "go.mod"))
-			}
-			return abs, string(m[1]), nil
-		}
-		parent := filepath.Dir(abs)
-		if parent == abs {
-			return "", "", fmt.Errorf("no go.mod found above %s (run from inside the module)", dir)
-		}
-		abs = parent
-	}
-}
-
 // CheckModule proves every annotated root of the module enclosing dir over
-// its production sources (_test.go files excluded) — the embedded
-// equivalent of `alloccheck ./...`. It returns the result and the module
-// root, for rendering positions relative to it.
-func CheckModule(dir string) (*Result, string, error) {
-	root, modPath, err := FindModule(dir)
+// its production sources — the same proof `gpowerlint ./...` runs after its
+// analyzers, loaded here without _test.go files since nothing else needs
+// them.
+func CheckModule(dir string) (*Result, error) {
+	root, modPath, err := lint.FindModule(dir)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	loader := lint.NewLoader(root, modPath)
 	loader.Tests = false
-	c, err := NewChecker(loader, modPath)
+	pkgs, err := loader.LoadAll()
 	if err != nil {
-		return nil, "", err
+		return nil, fmt.Errorf("alloccheck: load: %w", err)
 	}
-	return c.Check(), root, nil
+	return Check(pkgs, modPath), nil
 }

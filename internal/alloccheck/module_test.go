@@ -4,23 +4,8 @@ import (
 	"bytes"
 	"testing"
 
-	"gpupower/internal/alloccheck"
-	"gpupower/internal/lint"
 	"gpupower/internal/lint/linttest"
 )
-
-// checkModule proves the module rooted at dir with a fresh loader and
-// checker, the same configuration cmd/alloccheck uses (no _test.go files).
-func checkModule(t *testing.T, dir, modPath string) *alloccheck.Result {
-	t.Helper()
-	loader := lint.NewLoader(dir, modPath)
-	loader.Tests = false
-	c, err := alloccheck.NewChecker(loader, modPath)
-	if err != nil {
-		t.Fatalf("load module at %s: %v", dir, err)
-	}
-	return c.Check()
-}
 
 // TestModuleHotPathsProven is the in-repo gate: every annotated hot-path
 // root in the real module must prove allocation-free at HEAD, with no

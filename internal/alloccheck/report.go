@@ -3,15 +3,10 @@ package alloccheck
 import (
 	"encoding/json"
 	"fmt"
-	"go/ast"
 	"go/token"
-	"go/types"
 	"io"
 	"path/filepath"
-	"sort"
 	"strings"
-
-	"gpupower/internal/lint"
 )
 
 // relPath shortens name relative to base for readable, stable reports
@@ -99,12 +94,11 @@ type jsonPosition struct {
 }
 
 type jsonSite struct {
-	Category     Category     `json:"category"`
-	Pos          jsonPosition `json:"pos"`
-	Message      string       `json:"message"`
-	Callee       string       `json:"callee,omitempty"`
-	Underlying   *jsonSite    `json:"underlying,omitempty"`
-	SuppressedBy string       `json:"suppressed_by,omitempty"`
+	Category   Category     `json:"category"`
+	Pos        jsonPosition `json:"pos"`
+	Message    string       `json:"message"`
+	Callee     string       `json:"callee,omitempty"`
+	Underlying *jsonSite    `json:"underlying,omitempty"`
 }
 
 type jsonRoot struct {
@@ -131,11 +125,10 @@ func toJSONPos(base string, pos token.Position) jsonPosition {
 
 func toJSONSite(base string, s *Site, depth int) jsonSite {
 	js := jsonSite{
-		Category:     s.Cat,
-		Pos:          toJSONPos(base, s.Pos),
-		Message:      s.Msg,
-		Callee:       s.Callee,
-		SuppressedBy: s.SuppressedBy,
+		Category: s.Cat,
+		Pos:      toJSONPos(base, s.Pos),
+		Message:  s.Msg,
+		Callee:   s.Callee,
 	}
 	if s.Underlying != nil && depth < 8 {
 		u := toJSONSite(base, s.Underlying, depth+1)
@@ -179,109 +172,6 @@ func (r *Result) WriteJSON(w io.Writer, base string) error {
 			jr.Findings = append(jr.Findings, toJSONSite(base, &rr.Findings[j], 0))
 		}
 		out.Roots = append(out.Roots, jr)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// FuncInventory is the raw allocation-site inventory of one function for
-// the observability -report mode: every direct site, including the ones an
-// escape hatch suppresses (marked with the hatch's reason).
-type FuncInventory struct {
-	Func  string         `json:"func"`
-	Pos   token.Position `json:"-"`
-	Sites []Site         `json:"sites"`
-}
-
-// Inventory lists the direct allocation sites of every function in the
-// given packages, position-ordered. In-module static calls are omitted
-// (prove mode walks them); dynamic, external, and formatting calls appear
-// as the conservative sites they are.
-func Inventory(pkgs []*lint.Package, modPath string) []FuncInventory {
-	c := newChecker(pkgs, modPath)
-	var out []FuncInventory
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				fn, ok := pkg.Info.Defs[fd.Name].(*types.Func)
-				if !ok {
-					continue
-				}
-				raw, _ := collectSites(pkg, c.units, modPath, fd)
-				for i := range raw {
-					if h := c.coveringHatch(raw[i].Pos); h != nil {
-						raw[i].SuppressedBy = h.reason
-					}
-				}
-				if len(raw) == 0 {
-					continue
-				}
-				sortSites(raw)
-				out = append(out, FuncInventory{
-					Func:  fn.FullName(),
-					Pos:   pkg.Fset.Position(fd.Pos()),
-					Sites: raw,
-				})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i].Pos, out[j].Pos
-		if a.Filename != b.Filename {
-			return a.Filename < b.Filename
-		}
-		return a.Line < b.Line
-	})
-	return out
-}
-
-// WriteInventoryText renders a -report inventory.
-func WriteInventoryText(w io.Writer, base string, inv []FuncInventory) error {
-	total, suppressed := 0, 0
-	for i := range inv {
-		fi := &inv[i]
-		if _, err := fmt.Fprintf(w, "%s: func %s: %d sites\n",
-			fmtPos(base, fi.Pos), fi.Func, len(fi.Sites)); err != nil {
-			return err
-		}
-		for j := range fi.Sites {
-			s := &fi.Sites[j]
-			total++
-			note := ""
-			if s.SuppressedBy != "" {
-				suppressed++
-				note = fmt.Sprintf(" (suppressed: %s)", s.SuppressedBy)
-			}
-			if _, err := fmt.Fprintf(w, "\t%s: [%s] %s%s\n",
-				fmtPos(base, s.Pos), s.Cat, s.Msg, note); err != nil {
-				return err
-			}
-		}
-	}
-	_, err := fmt.Fprintf(w, "alloccheck -report: %d functions with sites, %d sites (%d suppressed)\n",
-		len(inv), total, suppressed)
-	return err
-}
-
-// WriteInventoryJSON renders a -report inventory as indented JSON.
-func WriteInventoryJSON(w io.Writer, base string, inv []FuncInventory) error {
-	type jsonFunc struct {
-		Func  string       `json:"func"`
-		Pos   jsonPosition `json:"pos"`
-		Sites []jsonSite   `json:"sites"`
-	}
-	out := []jsonFunc{}
-	for i := range inv {
-		jf := jsonFunc{Func: inv[i].Func, Pos: toJSONPos(base, inv[i].Pos), Sites: []jsonSite{}}
-		for j := range inv[i].Sites {
-			jf.Sites = append(jf.Sites, toJSONSite(base, &inv[i].Sites[j], 0))
-		}
-		out = append(out, jf)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

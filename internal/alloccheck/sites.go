@@ -78,9 +78,6 @@ type Site struct {
 	// Underlying is the callee's first finding for CatCall sites: the
 	// next hop of the propagation chain down to a direct site.
 	Underlying *Site `json:"underlying,omitempty"`
-	// SuppressedBy carries the escape-hatch reason in inventory (-report)
-	// mode; sites with a suppression never appear in prove-mode findings.
-	SuppressedBy string `json:"suppressed_by,omitempty"`
 }
 
 // callEdge is a statically-resolved call to an in-module function.
@@ -353,8 +350,9 @@ func (sc *siteCollector) checkStaticCall(call *ast.CallExpr, fn *types.Func) {
 	}
 	if pkg := orig.Pkg(); pkg != nil && sc.modPath != "" &&
 		(pkg.Path() == sc.modPath || strings.HasPrefix(pkg.Path(), sc.modPath+"/")) {
-		// Inventory mode over a package subset: the callee is in-module
-		// but its body was not loaded here; prove mode walks it.
+		// The callee is in-module but has no body here to walk (a
+		// bodyless declaration, or a package outside the analyzed set):
+		// conservatively unproven.
 		sc.addCall(call.Pos(), CatCall, name,
 			"call to %s: in-module but outside the analyzed packages", name)
 		return

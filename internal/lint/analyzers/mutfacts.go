@@ -22,12 +22,11 @@ import (
 // a real receiver mutation.
 //
 // The store follows the unit-facts discipline (see unitfacts.go): the
-// run-scoped lint.FactStore carried by the Pass, mutex-guarded, keyed by
-// object identity (sound because each run's Loader type-checks each package
-// exactly once, and the store does not outlive that Loader's type graph).
-// A summary computed under an in-progress-cycle assumption is tainted and
-// never memoized, keeping store contents independent of parallel group
-// scheduling.
+// run-scoped lint.FactStore carried by the Pass, keyed by object identity
+// (sound because each run's Loader type-checks each package exactly once,
+// and the store does not outlive that Loader's type graph). A summary
+// computed under an in-progress-cycle assumption is tainted and never
+// memoized, keeping store contents independent of analysis order.
 type mutFactKey struct{ fn *types.Func }
 
 func cachedMutFact(pass *lint.Pass, fn *types.Func) (bool, bool) {

@@ -21,15 +21,13 @@ import (
 // their initializers.
 //
 // Facts are memoized in the run-scoped lint.FactStore carried by the Pass,
-// keyed by object identity — sound because each run's concurrency-safe
-// Loader type-checks each package exactly once, so every directory group of
-// that run sees the same *types.Func for the same function (and the store
-// dies with the run, so it never pins a retired Loader's type graph). The
-// store is mutex-guarded for the parallel engine; determinism under
-// concurrent groups holds because an inference that had to assume a unit
-// for an in-progress (cyclic) callee is "tainted" and never memoized —
-// every cached fact is chain-independent, so the store's contents cannot
-// depend on group scheduling.
+// keyed by object identity — sound because each run's memoizing Loader
+// type-checks each package exactly once, so every package of that run sees
+// the same *types.Func for the same function (and the store dies with the
+// run, so it never pins a retired Loader's type graph). An inference that
+// had to assume a unit for an in-progress (cyclic) callee is "tainted" and
+// never memoized — every cached fact is chain-independent, so the store's
+// contents cannot depend on the order packages are analyzed in.
 type resultFactKey struct{ fn *types.Func }
 
 type varFactKey struct{ v *types.Var }

@@ -31,13 +31,13 @@ import (
 // disjointwrite method-mutation summaries) for one engine run. Keys are
 // small comparable structs wrapping type-checker objects, so identity keying
 // is sound exactly as long as the store lives no longer than the Loader whose
-// type graph produced the objects — which is why the store hangs off the
-// Runner (one per run) rather than off the analyzers package: a process that
-// runs the engine repeatedly (tests, a long-running embedding) must not pin
+// type graph produced the objects — which is why Runner.Run creates one per
+// run rather than the analyzers package holding one: a process that runs
+// the engine repeatedly (tests, a long-running embedding) must not pin
 // every run's type graph and ASTs for its lifetime. The store is
-// mutex-guarded for the parallel engine; determinism under concurrent groups
-// is the analyzers' responsibility (chain-dependent "tainted" verdicts are
-// never stored).
+// mutex-guarded so it is safe to share; order independence is the
+// analyzers' responsibility (chain-dependent "tainted" verdicts are never
+// stored).
 type FactStore struct {
 	mu sync.Mutex
 	m  map[any]any

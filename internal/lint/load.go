@@ -9,9 +9,9 @@ import (
 	"go/types"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package (plus, when the directory has
@@ -20,9 +20,7 @@ import (
 type Package struct {
 	// Path is the import path ("gpupower/internal/core"). External test
 	// packages get the conventional "_test" suffix appended.
-	Path string
-	// Dir is the directory the files were read from.
-	Dir   string
+	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	Types *types.Package
@@ -35,8 +33,7 @@ type Package struct {
 	loader     *Loader     // back-link for Dep resolution
 	deps       []string    // local import paths, recorded at load time
 	xtestFiles []*ast.File // package foo_test files, hoisted into a sibling Package by LoadAll
-	xtestMu    sync.Mutex  // guards xtestPkg memoization under concurrent groups
-	xtestPkg   *Package    // memoized external-test sibling, built on first LoadPackages
+	xtestPkg   *Package    // memoized external-test sibling, built on first LoadAll
 }
 
 // Dep resolves a local import path to its loaded package, searching the
@@ -58,8 +55,8 @@ func (p *Package) Dep(path string) (*Package, bool) {
 			continue
 		}
 		seen[cur] = true
-		dep, ok := p.loader.completed(cur)
-		if !ok {
+		dep := p.loader.memo[cur].pkg
+		if dep == nil {
 			continue
 		}
 		if cur == path {
@@ -76,13 +73,10 @@ func (p *Package) Dep(path string) (*Package, bool) {
 // everything else is delegated to importer.Default() with a source-importer
 // fallback.
 //
-// The loader is safe for concurrent use: each package is parsed and
-// type-checked exactly once (single-flight — concurrent requests for the
-// same path block on the first one), the shared stdlib importers are
-// serialized, and a wait-graph check turns a cross-goroutine import cycle
-// into the same "import cycle" error the recursive case produces instead
-// of a deadlock. token.FileSet is internally synchronized, so one position
-// table serves all goroutines.
+// Loading is serial and memoized: each package is parsed and type-checked
+// at most once per Loader, so every importer shares one types.Object graph —
+// the identity the cross-package fact stores key on. A Loader is not safe
+// for concurrent use.
 type Loader struct {
 	// RootDir is the directory tree containing the packages.
 	RootDir string
@@ -97,35 +91,19 @@ type Loader struct {
 
 	fset *token.FileSet
 
-	// mu guards entries and waits. Entries are claimed under mu and
-	// completed by closing their done channel; waits records, for EVERY
-	// in-progress path a blocked goroutine has claimed (its whole load
-	// stack, not just the innermost entry), the path that goroutine is
-	// currently blocked on, so a would-be waiter on any of those entries
-	// can detect a cross-goroutine wait cycle.
-	mu      sync.Mutex
-	entries map[string]*pkgEntry
-	waits   map[string]string
+	// memo holds every load, failed ones included. A load still in
+	// progress holds an import-cycle error, which is what an import that
+	// re-enters it must get.
+	memo map[string]loaded
 
-	// stdMu serializes the shared stdlib importers, which make no
-	// concurrency promises of their own.
-	stdMu  sync.Mutex
 	std    types.Importer
 	srcImp types.Importer
-
-	// checkedMu guards checked: every path handed to the type checker, in
-	// check order. The fact cache's warm-run integration test asserts this
-	// stays empty when nothing changed.
-	checkedMu sync.Mutex
-	checked   []string
 }
 
-// pkgEntry is the single-flight slot for one package: the goroutine that
-// claims it closes done after pkg/err are final; everyone else waits.
-type pkgEntry struct {
-	done chan struct{}
-	pkg  *Package
-	err  error
+// loaded is the memoized outcome of one package load.
+type loaded struct {
+	pkg *Package
+	err error
 }
 
 // NewLoader returns a loader over rootDir. rootPath is the module path prefix
@@ -136,13 +114,9 @@ func NewLoader(rootDir, rootPath string) *Loader {
 		RootPath: rootPath,
 		Tests:    true,
 		fset:     token.NewFileSet(),
-		entries:  make(map[string]*pkgEntry),
-		waits:    make(map[string]string),
+		memo:     make(map[string]loaded),
 	}
 }
-
-// Fset exposes the loader's position table.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
 
 // Discover walks RootDir and returns the sorted import paths of every
 // directory containing buildable .go files. testdata, vendor, hidden and
@@ -187,8 +161,10 @@ func (l *Loader) Discover() ([]string, error) {
 	return out, nil
 }
 
-// LoadAll loads every discovered package, hoisting external test packages
-// into sibling entries, and returns them in deterministic path order.
+// LoadAll loads every discovered package, hoisting each external test
+// package into a sibling entry right after the package it tests, and
+// returns them in deterministic path order. The external-test sibling is
+// memoized like any other package.
 func (l *Loader) LoadAll() ([]*Package, error) {
 	paths, err := l.Discover()
 	if err != nil {
@@ -196,75 +172,24 @@ func (l *Loader) LoadAll() ([]*Package, error) {
 	}
 	var out []*Package
 	for _, p := range paths {
-		pkgs, err := l.LoadPackages(p)
+		pkg, err := l.Load(p)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("lint: load %s: %w", p, err)
 		}
-		out = append(out, pkgs...)
-	}
-	return out, nil
-}
-
-// LoadPackages loads the package at path plus, when the directory carries an
-// external test package, that package as a second entry — the directory
-// group the Runner and the fact cache operate on. The external-test sibling
-// is memoized, so repeated calls do not re-type-check it.
-func (l *Loader) LoadPackages(path string) ([]*Package, error) {
-	pkg, err := l.Load(path)
-	if err != nil {
-		return nil, fmt.Errorf("lint: load %s: %w", path, err)
-	}
-	out := []*Package{pkg}
-	if len(pkg.xtestFiles) > 0 {
-		pkg.xtestMu.Lock()
+		out = append(out, pkg)
+		if len(pkg.xtestFiles) == 0 {
+			continue
+		}
 		if pkg.xtestPkg == nil {
 			xp, err := l.checkXTest(pkg)
 			if err != nil {
-				pkg.xtestMu.Unlock()
-				return nil, fmt.Errorf("lint: load %s external tests: %w", path, err)
+				return nil, fmt.Errorf("lint: load %s external tests: %w", p, err)
 			}
 			pkg.xtestPkg = xp
 		}
-		xp := pkg.xtestPkg
-		pkg.xtestMu.Unlock()
-		out = append(out, xp)
+		out = append(out, pkg.xtestPkg)
 	}
 	return out, nil
-}
-
-// DirFor resolves an import path to its directory under RootDir, reporting
-// whether the path is local to the loaded tree. The fact cache uses it to
-// hash package sources without forcing a load.
-func (l *Loader) DirFor(path string) (string, bool) { return l.pathToDir(path) }
-
-// TypeCheckedPaths returns the package paths that have been handed to the
-// type checker so far, in check order (external-test packages appear under
-// their "<path>_test" name). A warm cache run over an unchanged tree keeps
-// this empty — the property the incremental engine exists to provide.
-func (l *Loader) TypeCheckedPaths() []string {
-	l.checkedMu.Lock()
-	defer l.checkedMu.Unlock()
-	return append([]string(nil), l.checked...)
-}
-
-// completed returns the loaded package for path only if its load already
-// finished; it never blocks and never starts a load.
-func (l *Loader) completed(path string) (*Package, bool) {
-	l.mu.Lock()
-	e, ok := l.entries[path]
-	l.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	select {
-	case <-e.done:
-		if e.pkg == nil {
-			return nil, false
-		}
-		return e.pkg, true
-	default:
-		return nil, false
-	}
 }
 
 func (l *Loader) relToPath(rel string) string {
@@ -308,85 +233,21 @@ func (l *Loader) local(path string) bool {
 }
 
 // Load parses and type-checks the package at the given import path (module
-// packages only; stdlib goes through the importer delegation). Safe for
-// concurrent use; concurrent loads of the same path coalesce into one.
+// packages only; stdlib goes through the importer delegation), memoizing the
+// outcome. A local import that leads back to a package still being loaded is
+// an import cycle, reported as an error.
 func (l *Loader) Load(path string) (*Package, error) {
-	return l.load(path, nil)
+	if m, ok := l.memo[path]; ok {
+		return m.pkg, m.err
+	}
+	l.memo[path] = loaded{err: fmt.Errorf("import cycle through %q", path)}
+	pkg, err := l.loadFiles(path)
+	l.memo[path] = loaded{pkg, err}
+	return pkg, err
 }
 
-// load is the single-flight core. stack is the chain of in-progress paths
-// on this goroutine (each one claimed by us), innermost last; it provides
-// same-goroutine cycle detection, and its top names the entry we own when
-// we must block on another goroutine's load.
-func (l *Loader) load(path string, stack []string) (*Package, error) {
-	for _, s := range stack {
-		if s == path {
-			return nil, fmt.Errorf("import cycle through %q", path)
-		}
-	}
-
-	l.mu.Lock()
-	if e, ok := l.entries[path]; ok {
-		select {
-		case <-e.done:
-			l.mu.Unlock()
-			return e.pkg, e.err
-		default:
-		}
-		// In progress on another goroutine (were it ours, path would be in
-		// stack). Before blocking, walk the wait graph: if the owner of
-		// this entry is (transitively) blocked on a path we own, waiting
-		// would deadlock — that shape only arises from an import cycle
-		// split across goroutines, so report it as one. The visited set
-		// bounds the walk: a closed ring among *other* goroutines' waits
-		// (none of them ours) must not spin us forever under mu.
-		cur := path
-		visited := map[string]bool{}
-		for !visited[cur] {
-			visited[cur] = true
-			next, waiting := l.waits[cur]
-			if !waiting {
-				break
-			}
-			for _, s := range stack {
-				if s == next {
-					l.mu.Unlock()
-					return nil, fmt.Errorf("import cycle through %q", path)
-				}
-			}
-			cur = next
-		}
-		// Record the edge for every entry we own, not just the innermost:
-		// a goroutine blocked here is what's stalling ALL of its claimed
-		// in-progress loads, and a waiter can arrive at any one of them. The
-		// check-then-record is atomic under mu, so of two goroutines whose
-		// waits would close a cycle, the later one always sees the earlier
-		// one's edges and errors out instead of blocking.
-		for _, s := range stack {
-			l.waits[s] = path
-		}
-		l.mu.Unlock()
-		<-e.done
-		if len(stack) > 0 {
-			l.mu.Lock()
-			for _, s := range stack {
-				delete(l.waits, s)
-			}
-			l.mu.Unlock()
-		}
-		return e.pkg, e.err
-	}
-	e := &pkgEntry{done: make(chan struct{})}
-	l.entries[path] = e
-	l.mu.Unlock()
-
-	e.pkg, e.err = l.loadClaimed(path, append(stack, path))
-	close(e.done)
-	return e.pkg, e.err
-}
-
-// loadClaimed parses and type-checks one package; the caller owns its entry.
-func (l *Loader) loadClaimed(path string, stack []string) (*Package, error) {
+// loadFiles parses and type-checks one package.
+func (l *Loader) loadFiles(path string) (*Package, error) {
 	dir, ok := l.pathToDir(path)
 	if !ok {
 		return nil, fmt.Errorf("no package directory for %q under %s", path, l.RootDir)
@@ -418,9 +279,9 @@ func (l *Loader) loadClaimed(path string, stack []string) (*Package, error) {
 		return nil, fmt.Errorf("no buildable go files in %s", dir)
 	}
 
-	pkg := &Package{Path: path, Dir: dir, Fset: l.fset, Files: files, loader: l, xtestFiles: xtest}
+	pkg := &Package{Path: path, Fset: l.fset, Files: files, loader: l, xtestFiles: xtest}
 	pkg.deps = l.localImports(path, files)
-	pkg.Types, pkg.Info, pkg.TypeErrors = l.check(path, files, stack)
+	pkg.Types, pkg.Info, pkg.TypeErrors = l.check(path, files)
 	if len(pkg.TypeErrors) > 0 {
 		return pkg, pkg.TypeErrors[0]
 	}
@@ -448,10 +309,7 @@ func (l *Loader) localImports(path string, files []*ast.File) []string {
 }
 
 // check type-checks one set of files as the package named by path.
-func (l *Loader) check(path string, files []*ast.File, stack []string) (*types.Package, *types.Info, []error) {
-	l.checkedMu.Lock()
-	l.checked = append(l.checked, path)
-	l.checkedMu.Unlock()
+func (l *Loader) check(path string, files []*ast.File) (*types.Package, *types.Info, []error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -462,10 +320,8 @@ func (l *Loader) check(path string, files []*ast.File, stack []string) (*types.P
 	}
 	var errs []error
 	conf := &types.Config{
-		Importer: importerFunc(func(p string) (*types.Package, error) {
-			return l.importPkg(p, stack)
-		}),
-		Error: func(err error) { errs = append(errs, err) },
+		Importer: importerFunc(l.importPkg),
+		Error:    func(err error) { errs = append(errs, err) },
 	}
 	tpkg, _ := conf.Check(path, l.fset, files, info)
 	return tpkg, info, errs
@@ -476,9 +332,9 @@ func (l *Loader) check(path string, files []*ast.File, stack []string) (*types.P
 // in-package object (which includes export_test.go declarations, matching the
 // go toolchain's test-binary semantics).
 func (l *Loader) checkXTest(pkg *Package) (*Package, error) {
-	xp := &Package{Path: pkg.Path + "_test", Dir: pkg.Dir, Fset: l.fset, Files: pkg.xtestFiles, loader: l}
+	xp := &Package{Path: pkg.Path + "_test", Fset: l.fset, Files: pkg.xtestFiles, loader: l}
 	xp.deps = l.localImports(xp.Path, pkg.xtestFiles)
-	xp.Types, xp.Info, xp.TypeErrors = l.check(xp.Path, pkg.xtestFiles, []string{xp.Path})
+	xp.Types, xp.Info, xp.TypeErrors = l.check(xp.Path, pkg.xtestFiles)
 	if len(xp.TypeErrors) > 0 {
 		return xp, xp.TypeErrors[0]
 	}
@@ -486,23 +342,21 @@ func (l *Loader) checkXTest(pkg *Package) (*Package, error) {
 }
 
 // importPkg is the recursive in-module importer: local packages are loaded
-// from source (single-flight memoized), "unsafe" maps to types.Unsafe, and
+// from source (memoized), "unsafe" maps to types.Unsafe, and
 // everything else — the standard library — is delegated to
 // importer.Default(), falling back to the slower source importer when no
 // export data is available.
-func (l *Loader) importPkg(path string, stack []string) (*types.Package, error) {
+func (l *Loader) importPkg(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
 	}
 	if l.local(path) {
-		pkg, err := l.load(path, stack)
+		pkg, err := l.Load(path)
 		if err != nil {
 			return nil, err
 		}
 		return pkg.Types, nil
 	}
-	l.stdMu.Lock()
-	defer l.stdMu.Unlock()
 	if l.std == nil {
 		l.std = importer.Default()
 	}
@@ -523,3 +377,29 @@ func (l *Loader) importPkg(path string, stack []string) (*types.Package, error) 
 type importerFunc func(path string) (*types.Package, error)
 
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+var moduleRe = regexp.MustCompile(`(?m)^module\s+(\S+)`)
+
+// FindModule walks upward from dir to the enclosing go.mod and returns the
+// module root directory and module path — the arguments NewLoader takes.
+func FindModule(dir string) (root, modPath string, err error) {
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return "", "", err
+	}
+	for {
+		data, err := os.ReadFile(filepath.Join(abs, "go.mod"))
+		if err == nil {
+			m := moduleRe.FindSubmatch(data)
+			if m == nil {
+				return "", "", fmt.Errorf("no module directive in %s", filepath.Join(abs, "go.mod"))
+			}
+			return abs, string(m[1]), nil
+		}
+		parent := filepath.Dir(abs)
+		if parent == abs {
+			return "", "", fmt.Errorf("no go.mod found above %s (run from inside the module)", dir)
+		}
+		abs = parent
+	}
+}

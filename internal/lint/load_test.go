@@ -1,10 +1,9 @@
 package lint
 
 import (
+	"fmt"
 	"go/token"
-	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -12,7 +11,9 @@ import (
 // TestImporterChain type-checks a cycle-free local-import chain
 // (chainmod/a → chainmod/b → chainmod/c → strings) through the recursive
 // in-module importer, asserting local resolution, memoization and stdlib
-// delegation.
+// delegation. Memoization is checked by *Package identity — the identity
+// cross-package facts key on: a dependency reached through an import, by
+// Dep, and by an explicit reload is one object.
 func TestImporterChain(t *testing.T) {
 	l := NewLoader("testdata/chain", "chainmod")
 	pkg, err := l.Load("chainmod/a")
@@ -31,7 +32,7 @@ func TestImporterChain(t *testing.T) {
 
 	// The chain must have pulled b and c in transitively, memoized.
 	for _, dep := range []string{"chainmod/b", "chainmod/c"} {
-		cached, ok := l.completed(dep)
+		viaDep, ok := pkg.Dep(dep)
 		if !ok {
 			t.Fatalf("transitive dependency %s was not loaded", dep)
 		}
@@ -39,9 +40,16 @@ func TestImporterChain(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reload %s: %v", dep, err)
 		}
-		if reloaded != cached {
+		if reloaded != viaDep {
 			t.Errorf("%s was re-loaded instead of memoized", dep)
 		}
+	}
+	b, _ := l.Load("chainmod/b")
+	if imps := pkg.Types.Imports(); len(imps) != 1 || imps[0] != b.Types {
+		t.Errorf("chainmod/a imports %v, want exactly the memoized chainmod/b", imps)
+	}
+	if again, err := l.Load("chainmod/a"); err != nil || again != pkg {
+		t.Errorf("reload chainmod/a = %p, %v; want the memoized %p", again, err, pkg)
 	}
 
 	// Leaf's stdlib import went through the delegating importer.
@@ -77,16 +85,133 @@ func TestImporterChain(t *testing.T) {
 
 // TestImporterRejectsLocalCycle: go/types cannot represent import cycles, so
 // the recursive importer must refuse them with a diagnosable error instead
-// of recursing forever.
+// of recursing forever — whichever package of the cycle the load starts
+// from, for the two-package ring and the a→b→c→a shape alike.
 func TestImporterRejectsLocalCycle(t *testing.T) {
-	l := NewLoader("testdata/cycle", "cyclemod")
-	_, err := l.Load("cyclemod/x")
-	if err == nil {
-		t.Fatal("loading a cyclic import chain succeeded")
+	for _, tc := range []struct {
+		dir, mod string
+		roots    []string
+	}{
+		{"testdata/cycle", "cyclemod", []string{"x", "y"}},
+		{"testdata/cycle3", "cycle3mod", []string{"a", "b", "c"}},
+	} {
+		for _, root := range tc.roots {
+			path := tc.mod + "/" + root
+			l := NewLoader(tc.dir, tc.mod)
+			_, err := l.Load(path)
+			if err == nil {
+				t.Errorf("loading the cyclic import chain from %s succeeded", path)
+				continue
+			}
+			if !strings.Contains(err.Error(), "import cycle through") {
+				t.Errorf("%s: error does not mention the cycle: %v", path, err)
+			}
+		}
 	}
-	if !strings.Contains(err.Error(), "cycle") {
-		t.Errorf("error does not mention the cycle: %v", err)
+}
+
+// loadEach runs fn once per goroutine, each goroutine owning its own Loader,
+// and fails the test if any goroutine has not returned within the limit — a
+// loader that recursed forever on a cycle would hang here instead.
+func loadEach(t *testing.T, goroutines int, fn func(i int)) {
+	t.Helper()
+	done := make(chan struct{}, goroutines)
+	for i := 0; i < goroutines; i++ {
+		go func(i int) {
+			defer func() { done <- struct{}{} }()
+			fn(i)
+		}(i)
 	}
+	for i := 0; i < goroutines; i++ {
+		select {
+		case <-done:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d of %d loads did not return", goroutines-i, goroutines)
+		}
+	}
+}
+
+// TestConcurrentLoadSingleFlight: a Loader is serial, but separate Loaders
+// share no state, so goroutines that each own one may load at the same time
+// (the race detector checks this). Within each Loader every path is
+// type-checked once: interleaved reloads all return the same *Package, the
+// identity cross-package facts key on, and no *Package leaks between
+// Loaders.
+func TestConcurrentLoadSingleFlight(t *testing.T) {
+	paths := []string{"chainmod/a", "chainmod/b", "chainmod/c"}
+	const goroutines = 6
+	got := make([][]*Package, goroutines)
+	loadEach(t, goroutines, func(i int) {
+		l := NewLoader("testdata/chain", "chainmod")
+		first := make([]*Package, len(paths))
+		for round := 0; round < 3; round++ {
+			for k := range paths {
+				j := (i + k + round) % len(paths)
+				p, err := l.Load(paths[j])
+				if err != nil {
+					t.Errorf("goroutine %d: load %s: %v", i, paths[j], err)
+					return
+				}
+				if first[j] == nil {
+					first[j] = p
+				} else if p != first[j] {
+					t.Errorf("goroutine %d: %s was re-loaded instead of memoized", i, paths[j])
+				}
+			}
+		}
+		got[i] = first
+	})
+	for i := 1; i < goroutines; i++ {
+		if got[i] == nil || got[0] == nil {
+			continue
+		}
+		for j, p := range got[i] {
+			if p == got[0][j] {
+				t.Errorf("goroutine %d shares the *Package for %s with another Loader", i, paths[j])
+			}
+		}
+	}
+}
+
+// cycleLoads loads each root of a cyclic fixture in turn through one Loader
+// and reports every load that did not fail with an import-cycle error. The
+// first load meets the cycle while it is in progress; the later ones must
+// get the same failure back from the memo rather than recurse.
+func cycleLoads(dir, mod string, roots []string) []string {
+	l := NewLoader(dir, mod)
+	var bad []string
+	for _, r := range roots {
+		path := mod + "/" + r
+		if _, err := l.Load(path); err == nil || !strings.Contains(err.Error(), "cycle") {
+			bad = append(bad, fmt.Sprintf("%s: err = %v", path, err))
+		}
+	}
+	return bad
+}
+
+// TestConcurrentCycleLoadErrorsNotDeadlocks loads the two halves of the
+// cyclemod import cycle, in both orders, from Loaders on separate goroutines.
+// Every load returns, and every one reports the cycle.
+func TestConcurrentCycleLoadErrorsNotDeadlocks(t *testing.T) {
+	orders := [][]string{{"x", "y"}, {"y", "x"}}
+	loadEach(t, 2*len(orders), func(i int) {
+		for _, bad := range cycleLoads("testdata/cycle", "cyclemod", orders[i%len(orders)]) {
+			t.Errorf("goroutine %d: %s", i, bad)
+		}
+	})
+}
+
+// TestConcurrentThreePackageCycle does the same for the a→b→c→a cycle, from
+// the root subsets that once deadlocked the concurrent loader — {a, c},
+// {b, a} and all three — so a load can start anywhere on the ring, including
+// at a package an earlier load left failed partway round.
+func TestConcurrentThreePackageCycle(t *testing.T) {
+	picks := [][]string{{"a", "c"}, {"b", "a"}, {"a", "b", "c"}, {"c", "b", "a"}}
+	loadEach(t, len(picks), func(i int) {
+		for _, bad := range cycleLoads("testdata/cycle3", "cycle3mod", picks[i]) {
+			t.Errorf("roots %v: %s", picks[i], bad)
+		}
+	})
 }
 
 // TestLoadAllModule smoke-loads the real module through the loader — the
@@ -117,129 +242,6 @@ func TestLoadAllModule(t *testing.T) {
 	// The external test packages ride along as "_test" siblings.
 	if !seen["gpupower_test"] {
 		t.Error("root external test package was not hoisted")
-	}
-}
-
-// TestConcurrentLoadSingleFlight hammers one loader from many goroutines and
-// asserts single-flight semantics: every goroutine gets the same *Package
-// object per path (object identity is what cross-package facts key on) and
-// each path reaches the type checker exactly once.
-func TestConcurrentLoadSingleFlight(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	l := NewLoader("testdata/chain", "chainmod")
-	paths := []string{"chainmod/a", "chainmod/b", "chainmod/c"}
-	const goroutines = 12
-	got := make([]*Package, goroutines)
-	var wg sync.WaitGroup
-	for i := 0; i < goroutines; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p, err := l.Load(paths[i%len(paths)])
-			if err != nil {
-				t.Errorf("concurrent load %s: %v", paths[i%len(paths)], err)
-				return
-			}
-			got[i] = p
-		}(i)
-	}
-	wg.Wait()
-
-	for i := 0; i < goroutines; i++ {
-		if got[i] == nil {
-			t.Fatalf("goroutine %d got no package", i)
-		}
-		if prior := got[i%len(paths)]; got[i] != prior {
-			t.Errorf("goroutine %d got a distinct *Package for %s — load was not single-flight", i, paths[i%len(paths)])
-		}
-	}
-	counts := make(map[string]int)
-	for _, p := range l.TypeCheckedPaths() {
-		counts[p]++
-	}
-	for _, p := range paths {
-		if counts[p] != 1 {
-			t.Errorf("%s type-checked %d times, want exactly 1", p, counts[p])
-		}
-	}
-}
-
-// TestConcurrentCycleLoadErrorsNotDeadlocks loads the two halves of the
-// cyclemod import cycle from separate goroutines simultaneously, repeatedly.
-// Without the wait-graph check the two single-flight owners block on each
-// other forever; the contract is that every goroutine returns, and at least
-// one sees a cycle error.
-func TestConcurrentCycleLoadErrorsNotDeadlocks(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	for round := 0; round < 20; round++ {
-		l := NewLoader("testdata/cycle", "cyclemod")
-		errs := make(chan error, 2)
-		for _, p := range []string{"cyclemod/x", "cyclemod/y"} {
-			go func(p string) {
-				_, err := l.Load(p)
-				errs <- err
-			}(p)
-		}
-		sawCycle := false
-		for i := 0; i < 2; i++ {
-			select {
-			case err := <-errs:
-				if err != nil && strings.Contains(err.Error(), "cycle") {
-					sawCycle = true
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatalf("round %d: concurrent cycle load deadlocked", round)
-			}
-		}
-		if !sawCycle {
-			t.Fatalf("round %d: no goroutine reported the import cycle", round)
-		}
-	}
-}
-
-// TestConcurrentThreePackageCycle loads the a→b→c→a cycle concurrently from
-// every root. This is the shape the top-of-stack wait keying deadlocked on:
-// a goroutine that claimed a and b before blocking on c recorded only its
-// innermost edge, so a waiter arriving at a found no edge in the wait graph
-// and blocked forever. The contract is the same as the two-package case —
-// every goroutine returns, at least one with a cycle error.
-func TestConcurrentThreePackageCycle(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-
-	roots := []string{"cycle3mod/a", "cycle3mod/b", "cycle3mod/c"}
-	for round := 0; round < 30; round++ {
-		// Vary which subset of roots loads concurrently: the reviewer's
-		// reproduction was roots {a, c}, but any pair or the full triple
-		// must be deadlock-free.
-		for _, pick := range [][]string{{roots[0], roots[2]}, {roots[1], roots[0]}, roots} {
-			l := NewLoader("testdata/cycle3", "cycle3mod")
-			errs := make(chan error, len(pick))
-			for _, p := range pick {
-				go func(p string) {
-					_, err := l.Load(p)
-					errs <- err
-				}(p)
-			}
-			sawCycle := false
-			for i := 0; i < len(pick); i++ {
-				select {
-				case err := <-errs:
-					if err != nil && strings.Contains(err.Error(), "cycle") {
-						sawCycle = true
-					}
-				case <-time.After(30 * time.Second):
-					t.Fatalf("round %d roots %v: concurrent 3-package cycle load deadlocked", round, pick)
-				}
-			}
-			if !sawCycle {
-				t.Fatalf("round %d roots %v: no goroutine reported the import cycle", round, pick)
-			}
-		}
 	}
 }
 

@@ -3,9 +3,7 @@ package lint
 import (
 	"fmt"
 	"sort"
-	"sync"
-
-	"gpupower/internal/parallel"
+	"strings"
 )
 
 // UnusedIgnoreName is the name of the engine-level analyzer that reports
@@ -27,26 +25,6 @@ type Runner struct {
 	// registry so directives for analyzers that merely did not run this time
 	// are not rejected as unknown.
 	Known map[string]bool
-
-	// factsMu guards facts, the cross-package fact store shared by every
-	// pass this Runner creates. Scoping the store to the Runner (rather
-	// than a process global) means its memory — which transitively pins the
-	// Loader's type graph and ASTs — is reclaimable once the run's results
-	// are merged.
-	factsMu sync.Mutex
-	facts   *FactStore
-}
-
-// factStore lazily creates the Runner's run-scoped fact store; RunGroup is
-// called concurrently by the parallel engine and the cache replayer, so the
-// first caller wins under the mutex.
-func (r *Runner) factStore() *FactStore {
-	r.factsMu.Lock()
-	defer r.factsMu.Unlock()
-	if r.facts == nil {
-		r.facts = NewFactStore()
-	}
-	return r.facts
 }
 
 // Result is the outcome of one lint run.
@@ -60,14 +38,6 @@ type Result struct {
 	DirectiveErrors []error
 	// Suppressed counts findings removed by valid directives.
 	Suppressed int
-}
-
-// Merge appends another result (group-local or cached) into r. Callers are
-// expected to sort once at the end via SortDiagnostics.
-func (r *Result) Merge(other *Result) {
-	r.Diagnostics = append(r.Diagnostics, other.Diagnostics...)
-	r.DirectiveErrors = append(r.DirectiveErrors, other.DirectiveErrors...)
-	r.Suppressed += other.Suppressed
 }
 
 // validate checks the analyzer set and returns the known-name map used for
@@ -90,69 +60,14 @@ func (r *Runner) validate() (map[string]bool, error) {
 	return known, nil
 }
 
-// Run analyzes every package. Analyzer errors (not diagnostics) abort the
-// run. Packages are processed in directory groups (a package and its
-// external-test sibling share a directory), each of which is self-contained:
-// //lint:ignore directives only ever suppress diagnostics in their own file,
-// so no suppression crosses a group boundary. This is the property the
-// fact cache (internal/lint/cache) relies on to replay groups independently —
-// and the property that lets groups run concurrently here: they are fanned
-// through internal/parallel with each group's result landing in its own
-// slot, merged in index order and sorted once, so the report is
-// byte-identical to the sequential-mode run regardless of scheduling.
+// Run analyzes every package serially, then folds the findings through the
+// //lint:ignore directives. Analyzer errors (not diagnostics) abort the run.
+// A directive only suppresses diagnostics in its own file, so the fold does
+// not depend on package order. One fact store spans the run, so
+// cross-package facts are derived once; it is dropped with the run, so its
+// memory — which pins the Loader's type graph and ASTs — is reclaimable
+// afterwards.
 func (r *Runner) Run(pkgs []*Package) (*Result, error) {
-	if _, err := r.validate(); err != nil {
-		return nil, err
-	}
-	groups := GroupByDir(pkgs)
-	results := make([]*Result, len(groups))
-	// Resolve the fact store before fanning out: the lazy init writes a
-	// Runner field, and the closure below must not mutate shared state
-	// through its receiver (disjointwrite's own rule, applied to the engine).
-	facts := r.factStore()
-	if err := parallel.ForEach(len(groups), func(i int) error {
-		gr, err := r.runGroup(groups[i], facts)
-		if err != nil {
-			return err
-		}
-		results[i] = gr
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	res := &Result{}
-	for _, gr := range results {
-		res.Merge(gr)
-	}
-	SortDiagnostics(res.Diagnostics)
-	return res, nil
-}
-
-// GroupByDir splits a package list into runs of consecutive packages that
-// share a directory (the base package followed by its hoisted external-test
-// package, in LoadAll order).
-func GroupByDir(pkgs []*Package) [][]*Package {
-	var groups [][]*Package
-	for i := 0; i < len(pkgs); {
-		j := i + 1
-		for j < len(pkgs) && pkgs[j].Dir == pkgs[i].Dir {
-			j++
-		}
-		groups = append(groups, pkgs[i:j])
-		i = j
-	}
-	return groups
-}
-
-// RunGroup analyzes one directory group (a package plus, possibly, its
-// external-test sibling) and returns a self-contained, sorted result.
-func (r *Runner) RunGroup(pkgs []*Package) (*Result, error) {
-	return r.runGroup(pkgs, r.factStore())
-}
-
-// runGroup is RunGroup with the fact store resolved by the caller; it never
-// writes Runner state, so Run's parallel fan-out can call it from closures.
-func (r *Runner) runGroup(pkgs []*Package, facts *FactStore) (*Result, error) {
 	known, err := r.validate()
 	if err != nil {
 		return nil, err
@@ -167,6 +82,7 @@ func (r *Runner) runGroup(pkgs []*Package, facts *FactStore) (*Result, error) {
 		runSet[a.Name] = true
 	}
 
+	facts := NewFactStore()
 	res := &Result{}
 	var all []Diagnostic
 	var ignores []Ignore
@@ -222,7 +138,6 @@ func (r *Runner) runGroup(pkgs []*Package, facts *FactStore) (*Result, error) {
 			res.Diagnostics = append(res.Diagnostics, d)
 		}
 	}
-
 	SortDiagnostics(res.Diagnostics)
 	return res, nil
 }
@@ -259,21 +174,10 @@ func unusedIgnores(ignores []Ignore, hits []int, runSet map[string]bool) []Diagn
 			Analyzer: UnusedIgnoreName,
 			Pos:      ig.Pos,
 			Message: fmt.Sprintf("//lint:ignore %s directive suppressed no diagnostics: the guarded code moved or was fixed, so delete the directive (or add unusedignore to its analyzer list to keep it deliberately)",
-				joinNames(ig.Analyzers)),
+				strings.Join(ig.Analyzers, ",")),
 		})
 	}
 	return out
-}
-
-func joinNames(names []string) string {
-	s := ""
-	for i, n := range names {
-		if i > 0 {
-			s += ","
-		}
-		s += n
-	}
-	return s
 }
 
 // SortDiagnostics orders diagnostics by (file, line, col, analyzer, message)
