@@ -349,6 +349,13 @@ type engine struct {
 	gpus []gpuState
 	heap eventHeap
 	pool eventPool
+
+	// Shards' engines sit side by side in Simulator.engines, and each
+	// shard writes its heap and pool on every event. The pad keeps the
+	// next engine's fields at least a cache line away, so two shards never
+	// write one line; without it, how much they share depended on where
+	// the allocator placed the slice.
+	_ [64]byte
 }
 
 // run drains the shard: seeds first arrivals, dispatches to quiescence,

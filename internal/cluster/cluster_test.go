@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"gpupower/internal/core"
 	"gpupower/internal/governor"
@@ -421,4 +422,16 @@ func BenchmarkClusterEvents(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(m.Events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
+}
+
+// TestEnginesKeepACacheLineApart pins the engine's trailing pad: adjacent
+// shards' engines share the Simulator.engines backing array, so the bytes
+// after an engine's last field must span a cache line, or one shard's
+// heap and pool writes land on a line the next shard reads every event.
+func TestEnginesKeepACacheLineApart(t *testing.T) {
+	var en engine
+	fieldsEnd := unsafe.Offsetof(en.pool) + unsafe.Sizeof(en.pool)
+	if gap := unsafe.Sizeof(en) - fieldsEnd; gap < 64 {
+		t.Fatalf("engine ends %d bytes after its last field; want at least 64", gap)
+	}
 }

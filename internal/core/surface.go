@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -155,6 +156,11 @@ type Surface struct {
 	RelEDP    []float64
 
 	dev *hw.Device
+
+	// powerText is PowerW rendered once as wire text (AppendPowerText),
+	// filled on the first call. Surfaces that are never served over the
+	// full ladder never fill it.
+	powerText atomic.Pointer[[]byte]
 }
 
 // Len returns the number of ladder points.
@@ -165,6 +171,35 @@ func (s *Surface) Len() int { return len(s.Configs) }
 // memoized ladder index, so building a surface allocates no per-surface map.
 func (s *Surface) Point(cfg hw.Config) (int, bool) {
 	return s.dev.LadderIndex(cfg)
+}
+
+// AppendPowerText appends PowerW to buf as comma-separated shortest
+// round-trip decimals (strconv.AppendFloat 'g', -1), so every value
+// re-parses to its exact bits. A surface is immutable, so its text is
+// formatted on the first call and every later call is one append. Racing
+// first calls format identical bytes, so either store is correct.
+//
+//gpower:noalloc after the first call the text is cached; appending it into a pre-sized buffer is a copy
+func (s *Surface) AppendPowerText(buf []byte) []byte {
+	t := s.powerText.Load()
+	if t == nil {
+		//gpower:allocs first call only: formats PowerW once per surface
+		t = s.formatPowerText()
+	}
+	return append(buf, *t...) //gpower:allocs appends into the caller's buffer, which a pooled caller sizes once
+}
+
+// formatPowerText renders PowerW and caches the text on the surface.
+func (s *Surface) formatPowerText() *[]byte {
+	t := make([]byte, 0, 20*len(s.PowerW))
+	for i, p := range s.PowerW {
+		if i > 0 {
+			t = append(t, ',')
+		}
+		t = strconv.AppendFloat(t, p, 'g', -1, 64)
+	}
+	s.powerText.Store(&t)
+	return &t
 }
 
 // computeSurface evaluates the full ladder. Cancellation is checked per

@@ -40,3 +40,24 @@ func TestColdSurfaceAllocsBounded(t *testing.T) {
 		t.Fatalf("cold surface compute allocates %.1f times per op, want <= %d", allocs, maxAllocs)
 	}
 }
+
+// TestSurfaceAppendPowerTextAllocFree pins the dynamic half of
+// AppendPowerText's //gpower:noalloc contract: after the first call
+// formats the text, appending it into a buffer with room allocates
+// nothing.
+func TestSurfaceAppendPowerTextAllocFree(t *testing.T) {
+	dev := hw.GTXTitanX()
+	m := surfaceTestModel(dev, 17)
+	s, err := NewSurfaceCache(4).Get(context.Background(), m, dev, dev.DefaultConfig(),
+		Utilization{hw.SP: 0.8, hw.DRAM: 0.4, hw.L2: 0.2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := s.AppendPowerText(nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = s.AppendPowerText(buf[:0])
+	})
+	if allocs != 0 {
+		t.Fatalf("warm AppendPowerText allocates %.1f objects per run; want 0", allocs)
+	}
+}

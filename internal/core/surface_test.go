@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -316,5 +317,48 @@ func TestSurfaceCacheConcurrent(t *testing.T) {
 				t.Fatalf("workers 0 and %d observed different surfaces for key %d", w, i)
 			}
 		}
+	}
+}
+
+// TestSurfaceAppendPowerTextRace races the first AppendPowerText calls on
+// one surface. Every caller must get the same text, equal to formatting
+// PowerW directly with shortest round-trip decimals. Run with -race.
+func TestSurfaceAppendPowerTextRace(t *testing.T) {
+	dev := hw.GTXTitanX()
+	m := surfaceTestModel(dev, 23)
+	s, err := NewSurfaceCache(4).Get(context.Background(), m, dev, dev.DefaultConfig(),
+		Utilization{hw.SP: 0.12345678901234567, hw.DRAM: 0.9876543210987654, hw.Int: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for i, p := range s.PowerW {
+		if i > 0 {
+			want = append(want, ',')
+		}
+		want = strconv.AppendFloat(want, p, 'g', -1, 64)
+	}
+
+	const callers = 8
+	got := make([][]byte, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			got[g] = s.AppendPowerText([]byte("prefix:"))
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	for g, text := range got {
+		if string(text) != "prefix:"+string(want) {
+			t.Fatalf("caller %d got %s, want prefix:%s", g, text, want)
+		}
+	}
+	if again := s.AppendPowerText(nil); string(again) != string(want) {
+		t.Fatalf("cached text %s, want %s", again, want)
 	}
 }

@@ -9,8 +9,10 @@
 // The handler snapshots the entry's model once per request, so a batch is
 // atomic with respect to a concurrent re-fit swap: its predictions come
 // entirely from the old model or entirely from the new one, never a mix.
-// Responses are encoded manually into pooled buffers — the encoder is the
-// difference between ~10⁵ and >10⁶ predictions/sec on one core.
+// Neither half of the wire codec goes through encoding/json: requests are
+// scanned straight into pooled storage (decode.go), responses are encoded
+// into pooled buffers, and a full-ladder answer copies text its surface
+// formatted once.
 //
 // Request bodies are size-bounded (Options.MaxRequestBytes) and handlers
 // honor request-context cancellation, so a draining server never wedges
@@ -18,11 +20,11 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -182,15 +184,21 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) err
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
-			return err
-		}
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		bodyError(w, err)
 		return err
 	}
 	return nil
+}
+
+// bodyError answers a failed body read or decode: 413 past
+// Options.MaxRequestBytes, else 400.
+func bodyError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+		return
+	}
+	httpError(w, http.StatusBadRequest, "bad request body: %v", err)
 }
 
 // requirePost rejects non-POST methods.
@@ -201,55 +209,6 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 		return false
 	}
 	return true
-}
-
-// parseComponent maps a wire component name ("SP", "DRAM", ...) to the
-// hw.Component, case-insensitively.
-func parseComponent(name string) (hw.Component, error) {
-	for _, c := range hw.Components {
-		if equalFold(name, c.String()) {
-			return c, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown component %q (want one of INT, SP, DP, SF, Shared, L2, DRAM)", name)
-}
-
-// equalFold is strings.EqualFold restricted to ASCII, which component
-// names are.
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
-}
-
-// parseUtilization converts a wire utilization map into a core vector.
-// Missing components read as zero; values must be finite and non-negative.
-func parseUtilization(wire map[string]float64) (core.Utilization, error) {
-	u := make(core.Utilization, len(wire))
-	for name, v := range wire {
-		c, err := parseComponent(name)
-		if err != nil {
-			return nil, err
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return nil, fmt.Errorf("utilization %s = %g must be finite and non-negative", name, v)
-		}
-		u[c] = v
-	}
-	return u, nil
 }
 
 // wireConfig is a ladder configuration on the wire.
@@ -323,18 +282,6 @@ func (s *Server) handleDevices(w http.ResponseWriter, r *http.Request) {
 
 // ---- /v1/predict ----
 
-type predictItem struct {
-	Utilization map[string]float64 `json:"utilization"`
-	// Configs are the ladder points to predict at; empty means the full
-	// ladder in dev.AllConfigs() order.
-	Configs []wireConfig `json:"configs,omitempty"`
-}
-
-type predictRequest struct {
-	Device string        `json:"device"`
-	Items  []predictItem `json:"items"`
-}
-
 // bufPool holds response-encoding scratch buffers for the predict path.
 var bufPool = sync.Pool{
 	New: func() any {
@@ -343,10 +290,12 @@ var bufPool = sync.Pool{
 	},
 }
 
-// scratchPool holds per-request prediction scratch (configs + watts).
+// predictScratch is the pooled per-request state of /v1/predict: the
+// request body, its decoded form and the prediction scratch.
 type predictScratch struct {
-	configs []hw.Config
-	watts   []float64
+	body  bytes.Buffer
+	req   predictRequest
+	watts []float64
 }
 
 var scratchPool = sync.Pool{New: func() any { return &predictScratch{} }}
@@ -355,15 +304,21 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
 	}
-	var req predictRequest
-	if s.decodeBody(w, r, &req) != nil {
+	sc := scratchPool.Get().(*predictScratch)
+	defer scratchPool.Put(sc)
+	if !s.readBody(w, r, &sc.body) {
 		return
 	}
-	e, ok := s.lookup(w, req.Device)
+	req := &sc.req
+	if err := req.decode(sc.body.Bytes()); err != nil {
+		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+		return
+	}
+	e, ok := s.lookup(w, req.device)
 	if !ok {
 		return
 	}
-	if len(req.Items) == 0 {
+	if len(req.items) == 0 {
 		httpError(w, http.StatusBadRequest, "empty items")
 		return
 	}
@@ -373,72 +328,66 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	dev := e.Device()
 	ctx := r.Context()
 
-	sc := scratchPool.Get().(*predictScratch)
-	defer scratchPool.Put(sc)
 	bp := bufPool.Get().(*[]byte)
 	defer bufPool.Put(bp)
 	buf := (*bp)[:0]
 
 	buf = append(buf, `{"device":`...)
-	buf = appendJSONString(buf, req.Device)
+	buf = appendJSONString(buf, req.device)
 	buf = append(buf, `,"generation":`...)
 	buf = strconv.AppendUint(buf, meta.Generation, 10)
 	buf = append(buf, `,"results":[`...)
 
 	total := 0
-	for i := range req.Items {
+	for i := range req.items {
+		it := &req.items[i]
 		if err := backend.CheckContext(ctx, "serve: predict batch"); err != nil {
 			httpError(w, httpStatusForCancel(ctx), "request canceled")
 			return
 		}
-		u, err := parseUtilization(req.Items[i].Utilization)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "items[%d]: %v", i, err)
-			return
-		}
-		var watts []float64
-		if len(req.Items[i].Configs) == 0 {
+		var (
+			surf  *core.Surface
+			watts []float64
+			err   error
+		)
+		if len(it.configs) == 0 {
 			// Full ladder: served from the memoized prediction surface —
 			// repeated utilization vectors reduce to one cache lookup.
-			surf, err := core.Surfaces.Get(ctx, m, dev, m.Ref, u)
+			surf, err = core.Surfaces.Get(ctx, m, dev, m.Ref, it.util)
 			if err != nil {
 				var npe *core.NonPositiveRefPowerError
 				if errors.As(err, &npe) {
 					// Relative-energy columns are undefined for this
 					// profile, but absolute power is not; predict directly.
-					watts, err = sc.predictAll(m, u, dev.Ladder())
+					watts, err = sc.predictAll(m, it.util, dev.Ladder())
 				}
-				if err != nil {
-					httpError(w, http.StatusBadRequest, "items[%d]: %v", i, err)
-					return
-				}
-			} else {
-				watts = surf.PowerW
 			}
 		} else {
-			cfgs := sc.configs[:0]
-			for _, wc := range req.Items[i].Configs {
-				cfgs = append(cfgs, wc.hw())
-			}
-			sc.configs = cfgs
-			watts, err = sc.predictAll(m, u, cfgs)
-			if err != nil {
-				httpError(w, http.StatusBadRequest, "items[%d]: %v", i, err)
-				return
-			}
+			watts, err = sc.predictAll(m, it.util, it.configs)
+		}
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "items[%d]: %v", i, err)
+			return
 		}
 		if i > 0 {
 			buf = append(buf, ',')
 		}
 		buf = append(buf, `{"watts":[`...)
-		for j, p := range watts {
-			if j > 0 {
-				buf = append(buf, ',')
+		if surf != nil {
+			// The surface formats its watts once; later requests copy
+			// the text.
+			buf = surf.AppendPowerText(buf)
+			total += surf.Len()
+		} else {
+			for j, p := range watts {
+				if j > 0 {
+					buf = append(buf, ',')
+				}
+				buf = strconv.AppendFloat(buf, p, 'g', -1, 64)
 			}
-			buf = strconv.AppendFloat(buf, p, 'g', -1, 64)
+			total += len(watts)
 		}
 		buf = append(buf, `]}`...)
-		total += len(watts)
 	}
 	buf = append(buf, `],"predictions":`...)
 	buf = strconv.AppendInt(buf, int64(total), 10)
@@ -449,6 +398,18 @@ func (s *Server) handlePredict(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.Itoa(len(buf)))
 	w.Write(buf)
 	*bp = buf[:0]
+}
+
+// readBody reads the whole size-bounded request body into body, answering
+// 413 past Options.MaxRequestBytes and 400 on any other read error.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request, body *bytes.Buffer) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, s.opts.MaxRequestBytes)
+	body.Reset()
+	if _, err := body.ReadFrom(r.Body); err != nil {
+		bodyError(w, err)
+		return false
+	}
+	return true
 }
 
 // predictAll evaluates the model over configs into the scratch watts
@@ -498,9 +459,9 @@ func appendJSONString(buf []byte, s string) []byte {
 // ---- /v1/govern ----
 
 type governRequest struct {
-	Device      string             `json:"device"`
-	Utilization map[string]float64 `json:"utilization"`
-	Policy      string             `json:"policy"`
+	Device      string          `json:"device"`
+	Utilization wireUtilization `json:"utilization"`
+	Policy      string          `json:"policy"`
 	// PowerCapWatts only matters for max-perf-under-cap; 0 means the TDP.
 	PowerCapWatts float64 `json:"power_cap_watts,omitempty"`
 }
@@ -531,11 +492,7 @@ func (s *Server) handleGovern(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	u, err := parseUtilization(req.Utilization)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	u := core.Utilization(req.Utilization)
 	m, meta := e.Snapshot()
 	cfg, err := governor.Decide(r.Context(), m, e.Device(), policy, req.PowerCapWatts, u)
 	if err != nil {
@@ -563,8 +520,8 @@ func (s *Server) handleGovern(w http.ResponseWriter, r *http.Request) {
 // ---- /v1/breakdown ----
 
 type breakdownRequest struct {
-	Device      string             `json:"device"`
-	Utilization map[string]float64 `json:"utilization"`
+	Device      string          `json:"device"`
+	Utilization wireUtilization `json:"utilization"`
 	// Config is the ladder point to decompose at; zero means the model's
 	// reference configuration.
 	Config *wireConfig `json:"config,omitempty"`
@@ -591,11 +548,7 @@ func (s *Server) handleBreakdown(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	u, err := parseUtilization(req.Utilization)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	u := core.Utilization(req.Utilization)
 	m, meta := e.Snapshot()
 	cfg := m.Ref
 	if req.Config != nil {

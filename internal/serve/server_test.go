@@ -19,7 +19,7 @@ import (
 
 // testModel builds a synthetic fitted model for dev; beta0 perturbs the
 // core static coefficient so two models are distinguishable everywhere.
-func testModel(t *testing.T, dev *hw.Device, beta0 float64) *core.Model {
+func testModel(t testing.TB, dev *hw.Device, beta0 float64) *core.Model {
 	t.Helper()
 	m := &core.Model{
 		DeviceName: dev.Name,
@@ -137,32 +137,46 @@ type predictResponse struct {
 func TestPredictFullLadderBitwise(t *testing.T) {
 	ts, _, m := newTestServer(t, nil)
 	u := core.Utilization{hw.SP: 0.8, hw.DRAM: 0.4, hw.L2: 0.2}
-	resp, data := postJSON(t, ts.URL+"/v1/predict",
-		`{"device":"Tesla K40c","items":[{"utilization":{"SP":0.8,"DRAM":0.4,"L2":0.2}}]}`)
+	body := `{"device":"Tesla K40c","items":[{"utilization":{"SP":0.8,"DRAM":0.4,"L2":0.2}},{"utilization":{"L2":0.2,"SP":0.8,"DRAM":0.4}}]}`
+	// The first post computes the surface and formats its text; the
+	// second copies the cached text. Both must be the same bytes.
+	resp, data := postJSON(t, ts.URL+"/v1/predict", body)
 	if resp.StatusCode != 200 {
 		t.Fatalf("HTTP %d: %s", resp.StatusCode, data)
+	}
+	resp, warm := postJSON(t, ts.URL+"/v1/predict", body)
+	if resp.StatusCode != 200 {
+		t.Fatalf("warm: HTTP %d: %s", resp.StatusCode, warm)
+	}
+	if string(warm) != string(data) {
+		t.Fatalf("warm response differs from cold:\ncold %s\nwarm %s", data, warm)
 	}
 	var out predictResponse
 	if err := json.Unmarshal(data, &out); err != nil {
 		t.Fatal(err)
 	}
 	configs := hw.TeslaK40c().AllConfigs()
-	if len(out.Results) != 1 || len(out.Results[0].Watts) != len(configs) {
+	if len(out.Results) != 2 {
 		t.Fatalf("shape wrong: %+v", out)
 	}
-	if out.Predictions != len(configs) {
-		t.Fatalf("predictions = %d, want %d", out.Predictions, len(configs))
+	if out.Predictions != 2*len(configs) {
+		t.Fatalf("predictions = %d, want %d", out.Predictions, 2*len(configs))
 	}
 	if out.Generation != m.Generation() {
 		t.Fatalf("generation = %d, want %d", out.Generation, m.Generation())
 	}
-	for i, cfg := range configs {
-		want, err := m.Predict(u, cfg)
-		if err != nil {
-			t.Fatal(err)
+	for _, res := range out.Results {
+		if len(res.Watts) != len(configs) {
+			t.Fatalf("shape wrong: %+v", out)
 		}
-		if math.Float64bits(out.Results[0].Watts[i]) != math.Float64bits(want) {
-			t.Fatalf("config %v: served %x, direct %x", cfg, out.Results[0].Watts[i], want)
+		for i, cfg := range configs {
+			want, err := m.Predict(u, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(res.Watts[i]) != math.Float64bits(want) {
+				t.Fatalf("config %v: served %x, direct %x", cfg, res.Watts[i], want)
+			}
 		}
 	}
 }
@@ -194,23 +208,33 @@ func TestPredictExplicitConfigsBitwise(t *testing.T) {
 	}
 }
 
+// predictErrorCases are rejected /v1/predict bodies; FuzzPredictDecode
+// seeds its corpus with them too.
+var predictErrorCases = []struct {
+	name string
+	body string
+	code int
+}{
+	{"unknown device", `{"device":"nope","items":[{"utilization":{"SP":1}}]}`, 404},
+	{"missing device", `{"items":[{"utilization":{"SP":1}}]}`, 400},
+	{"empty items", `{"device":"Tesla K40c","items":[]}`, 400},
+	{"bad component", `{"device":"Tesla K40c","items":[{"utilization":{"GPU":1}}]}`, 400},
+	{"negative utilization", `{"device":"Tesla K40c","items":[{"utilization":{"SP":-1}}]}`, 400},
+	{"unknown field", `{"device":"Tesla K40c","items":[],"wat":1}`, 400},
+	{"off-ladder config", `{"device":"Tesla K40c","items":[{"utilization":{"SP":1},"configs":[{"core_mhz":1,"mem_mhz":1}]}]}`, 400},
+	{"malformed json", `{`, 400},
+	{"component named twice", `{"device":"Tesla K40c","items":[{"utilization":{"SP":0.2,"sp":0.9}}]}`, 400},
+	{"component repeated exactly", `{"device":"Tesla K40c","items":[{"utilization":{"SP":0.2,"SP":0.9}}]}`, 400},
+	{"device named twice", `{"device":"Tesla K40c","Device":"Tesla K40c","items":[{"utilization":{"SP":1}}]}`, 400},
+	{"config field named twice", `{"device":"Tesla K40c","items":[{"utilization":{"SP":1},"configs":[{"core_mhz":666,"mem_mhz":3004,"CORE_MHZ":666}]}]}`, 400},
+	{"long s is not s", `{"device":"Tesla K40c","items":[{"utilization":{"ſhared":1}}]}`, 400},
+	{"out-of-range number", `{"device":"Tesla K40c","items":[{"utilization":{"SP":1e400}}]}`, 400},
+	{"trailing comma", `{"device":"Tesla K40c","items":[{"utilization":{"SP":1},}]}`, 400},
+}
+
 func TestPredictErrors(t *testing.T) {
 	ts, _, _ := newTestServer(t, nil)
-	cases := []struct {
-		name string
-		body string
-		code int
-	}{
-		{"unknown device", `{"device":"nope","items":[{"utilization":{"SP":1}}]}`, 404},
-		{"missing device", `{"items":[{"utilization":{"SP":1}}]}`, 400},
-		{"empty items", `{"device":"Tesla K40c","items":[]}`, 400},
-		{"bad component", `{"device":"Tesla K40c","items":[{"utilization":{"GPU":1}}]}`, 400},
-		{"negative utilization", `{"device":"Tesla K40c","items":[{"utilization":{"SP":-1}}]}`, 400},
-		{"unknown field", `{"device":"Tesla K40c","items":[],"wat":1}`, 400},
-		{"off-ladder config", `{"device":"Tesla K40c","items":[{"utilization":{"SP":1},"configs":[{"core_mhz":1,"mem_mhz":1}]}]}`, 400},
-		{"malformed json", `{`, 400},
-	}
-	for _, tc := range cases {
+	for _, tc := range predictErrorCases {
 		resp, data := postJSON(t, ts.URL+"/v1/predict", tc.body)
 		if resp.StatusCode != tc.code {
 			t.Errorf("%s: HTTP %d (want %d): %s", tc.name, resp.StatusCode, tc.code, data)
@@ -240,9 +264,23 @@ func TestPredictBodyBound(t *testing.T) {
 	if len(big) <= 256 {
 		t.Fatalf("test body too small (%d bytes)", len(big))
 	}
-	resp, data := postJSON(t, ts.URL+"/v1/predict", big)
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("HTTP %d (want 413): %s", resp.StatusCode, data)
+	// The whole body is read before it is decoded, so a body past the
+	// bound is a 413 wherever it goes wrong: a syntax error inside the
+	// bound, or a valid request followed by padding past it.
+	for _, body := range []string{
+		big,
+		`{"device":` + strings.Repeat("x", 300),
+		`{"device":"Tesla K40c","items":[{"utilization":{"SP":0.5}}]}` + strings.Repeat(" ", 300),
+	} {
+		resp, data := postJSON(t, ts.URL+"/v1/predict", body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%d-byte body: HTTP %d (want 413): %s", len(body), resp.StatusCode, data)
+		}
+	}
+	// At the bound, trailing bytes after the request are ignored.
+	body := `{"device":"Tesla K40c","items":[{"utilization":{"SP":0.5}}]} trailing`
+	if resp, data := postJSON(t, ts.URL+"/v1/predict", body); resp.StatusCode != 200 {
+		t.Fatalf("HTTP %d: %s", resp.StatusCode, data)
 	}
 }
 
@@ -336,6 +374,39 @@ func TestBreakdownMatchesDecompose(t *testing.T) {
 	}
 }
 
+// TestGovernBreakdownErrors checks that /v1/govern and /v1/breakdown read
+// utilization by /v1/predict's rules: the same scanner decodes it.
+func TestGovernBreakdownErrors(t *testing.T) {
+	ts, _, _ := newTestServer(t, nil)
+	utils := []struct {
+		name string
+		util string
+		code int
+	}{
+		{"component named twice", `{"SP":0.2,"sp":0.9}`, 400},
+		{"component repeated exactly", `{"DRAM":0.2,"DRAM":0.9}`, 400},
+		{"unknown component", `{"GPU":1}`, 400},
+		{"long s is not s", `{"ſhared":1}`, 400},
+		{"negative level", `{"SP":-0.5}`, 400},
+		{"not an object", `[0.5]`, 400},
+		{"escaped name", `{"\u0053P":0.5}`, 200},
+		{"null level", `{"SP":null,"DRAM":0.5}`, 200},
+		{"null vector", `null`, 200},
+	}
+	for _, tc := range utils {
+		for _, ep := range []struct{ path, extra string }{
+			{"/v1/govern", `,"policy":"min-EDP"`},
+			{"/v1/breakdown", ``},
+		} {
+			body := `{"device":"Tesla K40c","utilization":` + tc.util + ep.extra + `}`
+			resp, data := postJSON(t, ts.URL+ep.path, body)
+			if resp.StatusCode != tc.code {
+				t.Errorf("%s %s: HTTP %d (want %d): %s", ep.path, tc.name, resp.StatusCode, tc.code, data)
+			}
+		}
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _, _ := newTestServer(t, nil)
 	postJSON(t, ts.URL+"/v1/predict",
@@ -364,9 +435,11 @@ func TestMetricsEndpoint(t *testing.T) {
 
 // TestSwapMidTraffic drives concurrent /v1/predict requests through a real
 // HTTP stack while the entry swaps between two models; every response
-// batch must be bitwise-identical to one model's expected vector — the
-// serving-layer version of the registry's snapshot-per-batch guarantee.
-// Run with -race.
+// batch must be bitwise-identical to the expected vector of the model its
+// reported generation names — the serving-layer version of the registry's
+// snapshot-per-batch guarantee. Full-ladder watts are served from text
+// cached on each surface, so this also checks that a swap never serves
+// the previous generation's text. Run with -race.
 func TestSwapMidTraffic(t *testing.T) {
 	ts, e, a := newTestServer(t, nil)
 	dev := e.Device()
@@ -381,9 +454,40 @@ func TestSwapMidTraffic(t *testing.T) {
 		}
 		return out
 	}
-	expectedA, expectedB := expect(a), expect(b)
+	// byGen maps every installed generation to its model's expected batch.
+	// A swapped-out model gets a fresh generation, so it is recorded anew
+	// before each install.
+	var byGen sync.Map
+	byGen.Store(a.Generation(), expect(a))
 
 	body := `{"device":"Tesla K40c","items":[{"utilization":{"SP":0.8,"DRAM":0.4,"L2":0.2}}]}`
+	post := func() (*predictResponse, error) {
+		resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
+		if err != nil {
+			return nil, err
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		if resp.StatusCode != 200 {
+			return nil, fmt.Errorf("HTTP %d: %s", resp.StatusCode, data)
+		}
+		var out predictResponse
+		if err := json.Unmarshal(data, &out); err != nil {
+			return nil, err
+		}
+		want, ok := byGen.Load(out.Generation)
+		if !ok {
+			return nil, fmt.Errorf("generation %d was never installed", out.Generation)
+		}
+		if !batchEquals(out.Results[0].Watts, want.([]float64)) {
+			return nil, fmt.Errorf("generation %d served another model's batch: %v", out.Generation, out.Results[0].Watts)
+		}
+		return &out, nil
+	}
+
 	const readers = 4
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -398,35 +502,8 @@ func TestSwapMidTraffic(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Post(ts.URL+"/v1/predict", "application/json", strings.NewReader(body))
-				if err != nil {
+				if _, err := post(); err != nil {
 					errc <- err
-					return
-				}
-				data, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					errc <- err
-					return
-				}
-				if resp.StatusCode != 200 {
-					errc <- fmt.Errorf("HTTP %d: %s", resp.StatusCode, data)
-					return
-				}
-				var out predictResponse
-				if err := json.Unmarshal(data, &out); err != nil {
-					errc <- err
-					return
-				}
-				matchA := batchEquals(out.Results[0].Watts, expectedA)
-				matchB := batchEquals(out.Results[0].Watts, expectedB)
-				if !matchA && !matchB {
-					errc <- fmt.Errorf("served batch matches neither generation: %v", out.Results[0].Watts)
-					return
-				}
-				// The reported generation must agree with the batch content.
-				if matchA && !matchB && out.Generation != a.Generation() {
-					errc <- fmt.Errorf("batch from model A but generation %d", out.Generation)
 					return
 				}
 			}
@@ -435,6 +512,7 @@ func TestSwapMidTraffic(t *testing.T) {
 
 	cur, next := a, b
 	for i := 0; i < 150; i++ {
+		byGen.Store(next.Generation(), expect(next))
 		if _, err := e.Swap(next, registry.FitMeta{}); err != nil {
 			t.Fatal(err)
 		}
@@ -446,7 +524,15 @@ func TestSwapMidTraffic(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	_ = cur
+	// After the last swap, the text comes from the installed model's
+	// surface.
+	out, err := post()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Generation != cur.Generation() {
+		t.Fatalf("served generation %d, installed %d", out.Generation, cur.Generation())
+	}
 }
 
 func batchEquals(got, want []float64) bool {
