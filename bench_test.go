@@ -228,9 +228,9 @@ func nnlsProblem() (*linalg.Matrix, []float64) {
 }
 
 // BenchmarkNNLS measures the regression core the way the estimation engine
-// actually calls it: through a reused NNLSWorkspace, so the ~1.6 MB of QR
-// and active-set scratch is a one-time cost outside the timer and the steady
-// state is allocation-free (DESIGN.md §10).
+// actually calls it: through a reused NNLSWorkspace, so the ~0.5 MB of
+// compression-QR and active-set scratch is a one-time cost outside the timer
+// and the steady state is allocation-free (DESIGN.md §10).
 func BenchmarkNNLS(b *testing.B) {
 	a, y := nnlsProblem()
 	ws := linalg.NewNNLSWorkspace(a.Rows(), a.Cols())

@@ -286,10 +286,8 @@ func (m *Matrix) CopyColumns(cols []int) *Matrix {
 }
 
 // TMulVec returns the transpose product Aᵀ·y without materializing Aᵀ.
-// This is the gradient kernel of the NNLS active-set loop (w = Aᵀ·resid).
-// Columns are independent, so large systems fan the column loop out across
-// the worker pool; each goroutine writes one disjoint out[j] with the same
-// ascending-row accumulation as the serial loop (bitwise-identical).
+// This is the gradient kernel of the NNLS active-set loop (w = Aᵀ·resid),
+// which runs it on the n×n R factor of the design, so it stays serial.
 func (m *Matrix) TMulVec(y []float64) ([]float64, error) {
 	out := make([]float64, m.cols)
 	if err := m.TMulVecInto(out, y); err != nil {
@@ -309,27 +307,14 @@ func (m *Matrix) TMulVecInto(dst, y []float64) error {
 		//gpower:allocs validation error path: a mis-sized dst never reaches the kernel
 		return fmt.Errorf("linalg: TMulVec dst length %d, want %d", len(dst), m.cols)
 	}
-	// Serial body inlined (not a shared closure) so this path allocates
-	// nothing — it is the per-iteration gradient kernel of the NNLS loop.
-	if m.rows*m.cols < parallelMinWork {
-		for j := 0; j < m.cols; j++ {
-			var s float64
-			for i := 0; i < m.rows; i++ {
-				s += m.data[i*m.cols+j] * y[i]
-			}
-			dst[j] = s
-		}
-		return nil
-	}
-	//gpower:allocs large-matrix fan-out: the column closure escapes into the worker pool; NNLS-sized systems take the inline loop above
-	return parallel.ForEach(m.cols, func(j int) error {
+	for j := 0; j < m.cols; j++ {
 		var s float64
 		for i := 0; i < m.rows; i++ {
 			s += m.data[i*m.cols+j] * y[i]
 		}
 		dst[j] = s
-		return nil
-	})
+	}
+	return nil
 }
 
 // String renders the matrix for debugging.

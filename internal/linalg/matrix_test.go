@@ -224,33 +224,6 @@ func TestTMulVecMatchesExplicitTranspose(t *testing.T) {
 	}
 }
 
-func TestTMulVecLargeParallelPath(t *testing.T) {
-	// Large enough to cross parallelMinWork: the parallel column fan-out
-	// must agree bitwise with the serial transpose product.
-	const rows, cols = 700, 120
-	m := NewMatrix(rows, cols)
-	y := make([]float64, rows)
-	for i := 0; i < rows; i++ {
-		y[i] = math.Sin(float64(i))
-		for j := 0; j < cols; j++ {
-			m.Set(i, j, math.Cos(float64(i*cols+j)))
-		}
-	}
-	got, err := m.TMulVec(y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < cols; j++ {
-		var s float64
-		for i := 0; i < rows; i++ {
-			s += m.At(i, j) * y[i]
-		}
-		if got[j] != s {
-			t.Fatalf("col %d: parallel %v != serial %v", j, got[j], s)
-		}
-	}
-}
-
 func TestCopyColumns(t *testing.T) {
 	m, _ := NewMatrixFromRows([][]float64{
 		{1, 2, 3},

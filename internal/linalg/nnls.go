@@ -1,9 +1,6 @@
 package linalg
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // passiveSolver solves the least-squares problem restricted to the passive
 // columns. The default path is the workspace-backed solvePassiveInto; tests
@@ -27,10 +24,14 @@ func NNLS(a *Matrix, b []float64) ([]float64, error) {
 }
 
 // nnls is the active-set iteration with an injectable passive solver
-// (nil selects the allocation-free workspace path).
+// (nil selects the allocation-free workspace path). An injected solver sees
+// the full system, so the active set runs uncompressed and its residual
+// spans every row.
 func nnls(a *Matrix, b []float64, solve passiveSolver) ([]float64, error) {
 	ws := NewNNLSWorkspace(a.Rows(), a.Cols())
-	ws.testSolve = solve
+	if solve != nil {
+		ws.testSolve, ws.resid = solve, make([]float64, a.Rows())
+	}
 	x := make([]float64, a.Cols())
 	if err := ws.SolveInto(x, a, b); err != nil {
 		return nil, err
@@ -39,34 +40,32 @@ func nnls(a *Matrix, b []float64, solve passiveSolver) ([]float64, error) {
 }
 
 // NNLSWorkspace holds every buffer the Lawson–Hanson active-set iteration
-// needs — gradient, residual, passive/blocked sets, the passive submatrix
-// and its QR factorization — preallocated for a maximum system size.
-// SolveInto then runs with zero steady-state heap allocations, which is
-// what keeps the estimator's step-1/step-3 refits off the allocator
-// (DESIGN.md §10).
+// needs, preallocated for a maximum system size: the factorization that
+// compresses a tall system to its R factor, and the gradient, residual,
+// passive/blocked sets, passive submatrix and passive QR of the n×n
+// iteration. SolveInto then runs with zero steady-state heap allocations,
+// which is what keeps the estimator's step-1/step-3 refits off the
+// allocator (DESIGN.md §10).
 //
 // A workspace is single-goroutine state: confine each instance to one
 // worker (see parallel.PerWorker) or guard it externally.
 type NNLSWorkspace struct {
 	maxRows, maxCols int
 
-	w, z, zs  []float64 // maxCols
-	passive   []bool
-	blocked   []bool
-	idx       []int
-	resid, ax []float64 // maxRows
-	subData   []float64 // maxRows*maxCols
-	sub       Matrix    // current passive-submatrix view over subData
-	qr        *QRWorkspace
+	// tall factorizes a tall system once per solve; r views rData as its
+	// n×n upper-triangular R, and tall's Qᵀ·b scratch holds y = Q₁ᵀ·b.
+	tall  *QRWorkspace
+	rData []float64 // maxCols*maxCols
+	r     Matrix
 
-	// Bounded-solve scratch (BoundedSolveInto only). The bounded refinement
-	// nests a second NNLS solve inside the workspace, so it owns disjoint
-	// buffers: the nested SolveInto freely reuses z/zs/sub while the
-	// bounded-level submatrix and solution live here.
-	rhs          []float64 // maxRows
-	boundIdx     []int
-	boundX       []float64 // maxCols
-	boundSubData []float64 // maxRows*maxCols
+	w, z, zs []float64 // maxCols
+	resid    []float64 // maxCols: residual of the (compressed) system
+	passive  []bool
+	blocked  []bool
+	idx      []int
+	subData  []float64 // maxCols*maxCols
+	sub      Matrix    // current passive-submatrix view over subData
+	qr       *QRWorkspace
 
 	// testSolve, when non-nil, replaces the passive solve (test injection).
 	testSolve passiveSolver
@@ -78,27 +77,22 @@ func NewNNLSWorkspace(maxRows, maxCols int) *NNLSWorkspace {
 	if maxRows <= 0 || maxCols <= 0 {
 		panic(fmt.Sprintf("linalg: invalid NNLS workspace capacity %dx%d", maxRows, maxCols))
 	}
-	qrRows := maxRows
-	if qrRows < maxCols {
-		qrRows = maxCols
-	}
 	return &NNLSWorkspace{
-		maxRows:      maxRows,
-		maxCols:      maxCols,
-		w:            make([]float64, maxCols),
-		z:            make([]float64, maxCols),
-		zs:           make([]float64, maxCols),
-		passive:      make([]bool, maxCols),
-		blocked:      make([]bool, maxCols),
-		idx:          make([]int, 0, maxCols),
-		resid:        make([]float64, maxRows),
-		ax:           make([]float64, maxRows),
-		subData:      make([]float64, maxRows*maxCols),
-		qr:           NewQRWorkspace(qrRows, maxCols),
-		rhs:          make([]float64, maxRows),
-		boundIdx:     make([]int, 0, maxCols),
-		boundX:       make([]float64, maxCols),
-		boundSubData: make([]float64, maxRows*maxCols),
+		maxRows: maxRows,
+		maxCols: maxCols,
+		// Only systems with more rows than columns are compressed, so the
+		// tall factorization never needs more than maxRows−1 columns.
+		tall:    NewQRWorkspace(maxRows, min(maxRows, maxCols)),
+		rData:   make([]float64, maxCols*maxCols),
+		w:       make([]float64, maxCols),
+		z:       make([]float64, maxCols),
+		zs:      make([]float64, maxCols),
+		resid:   make([]float64, maxCols),
+		passive: make([]bool, maxCols),
+		blocked: make([]bool, maxCols),
+		idx:     make([]int, 0, maxCols),
+		subData: make([]float64, maxCols*maxCols),
+		qr:      NewQRWorkspace(maxCols, maxCols),
 	}
 }
 
@@ -118,17 +112,23 @@ func (ws *NNLSWorkspace) Ensure(maxRows, maxCols int) {
 	if maxCols < ws.maxCols {
 		maxCols = ws.maxCols
 	}
-	grown := NewNNLSWorkspace(maxRows, maxCols)
-	grown.testSolve = ws.testSolve
-	*ws = *grown
+	*ws = *NewNNLSWorkspace(maxRows, maxCols)
 }
 
-// SolveInto solves min ‖A·x − b‖ s.t. x ≥ 0 into dst (len Cols). The
-// arithmetic — including the passive QR solves — is shared with the
-// allocating NNLS entry point, so the two are bitwise-identical; only the
-// storage strategy differs.
+// SolveInto solves min ‖A·x − b‖ s.t. x ≥ 0 into dst (len Cols).
 //
-//gpower:noalloc the active-set iteration runs entirely on preallocated workspace storage
+// A tall system (Rows > Cols) is first Householder-factorized once,
+// A = Q·R, and the active set then runs on the n×n problem
+// min ‖R·x − Q₁ᵀ·b‖: the two objectives differ by the constant ‖Q₂ᵀ·b‖², so
+// they share the minimizer and the KKT gradient Aᵀ(b − A·x) = Rᵀ(Q₁ᵀ·b − R·x).
+// Every passive solve is then a QR of an n×k matrix and every gradient or
+// residual pass is n×n, however many rows A has. The stopping tolerance is
+// still scaled by the original A and b.
+//
+// The allocating NNLS entry point runs this same path, so the two are
+// bitwise-identical; only the storage strategy differs.
+//
+//gpower:noalloc the compression and the active-set iteration run entirely on preallocated workspace storage
 func (ws *NNLSWorkspace) SolveInto(dst []float64, a *Matrix, b []float64) error {
 	m, n := a.Rows(), a.Cols()
 	if len(b) != m {
@@ -148,6 +148,23 @@ func (ws *NNLSWorkspace) SolveInto(dst []float64, a *Matrix, b []float64) error 
 	for j := range x {
 		x[j] = 0
 	}
+	const (
+		maxOuter = 3 * 64
+		tol      = 1e-10
+	)
+	// Scale tolerance with the original problem, compressed or not.
+	scale := a.MaxAbs() * Norm2(b)
+	if scale == 0 {
+		return nil // A or b is all-zero; x = 0 is optimal.
+	}
+	gradTol := tol * scale
+	if ws.testSolve == nil && m > n {
+		if err := ws.compress(a, b); err != nil {
+			return err
+		}
+		a, b, m = &ws.r, ws.tall.y[:n], n
+	}
+
 	passive := ws.passive[:n] // true: variable free, false: clamped at 0
 	blocked := ws.blocked[:n] // variables whose inclusion made the passive set singular
 	for j := 0; j < n; j++ {
@@ -158,17 +175,6 @@ func (ws *NNLSWorkspace) SolveInto(dst []float64, a *Matrix, b []float64) error 
 	w := ws.w[:n] // gradient of the active (clamped) variables
 	resid := ws.resid[:m]
 	copy(resid, b)
-
-	const (
-		maxOuter = 3 * 64
-		tol      = 1e-10
-	)
-	// Scale tolerance with the problem.
-	scale := a.MaxAbs() * Norm2(b)
-	if scale == 0 {
-		return nil // A or b is all-zero; x = 0 is optimal.
-	}
-	gradTol := tol * scale
 
 	outer := 0
 	for {
@@ -261,13 +267,12 @@ func (ws *NNLSWorkspace) SolveInto(dst []float64, a *Matrix, b []float64) error 
 			}
 		}
 
-		// Refresh the residual.
-		ax := ws.ax[:m]
-		if err := a.MulVecInto(ax, x); err != nil {
+		// Refresh the residual: resid = b − A·x.
+		if err := a.MulVecInto(resid, x); err != nil {
 			return err
 		}
 		for i := range resid {
-			resid[i] = b[i] - ax[i]
+			resid[i] = b[i] - resid[i]
 		}
 	}
 	// Clean tiny negatives from floating-point noise.
@@ -275,6 +280,31 @@ func (ws *NNLSWorkspace) SolveInto(dst []float64, a *Matrix, b []float64) error 
 		if x[j] < 0 && x[j] > -1e-12 {
 			x[j] = 0
 		}
+	}
+	return nil
+}
+
+// compress Householder-factorizes the tall system a into ws.tall, copies its
+// upper-triangular R into ws.r and leaves y = Q₁ᵀ·b in ws.tall.y[:Cols].
+// Rank is not checked: the active set's passive solves catch singular
+// column subsets exactly as they would on a.
+func (ws *NNLSWorkspace) compress(a *Matrix, b []float64) error {
+	n := a.Cols()
+	if err := ws.tall.Factorize(a); err != nil {
+		return err
+	}
+	f := &ws.tall.qr
+	y := ws.tall.y[:a.Rows()]
+	copy(y, b)
+	applyQT(f, y)
+	ws.r = Matrix{rows: n, cols: n, data: ws.rData[:n*n]}
+	for i := 0; i < n; i++ {
+		row := ws.r.data[i*n : (i+1)*n]
+		for j := 0; j < i; j++ {
+			row[j] = 0
+		}
+		row[i] = ws.tall.rdia[i]
+		copy(row[i+1:], f.data[i*n+i+1:(i+1)*n])
 	}
 	return nil
 }
@@ -300,9 +330,11 @@ func (ws *NNLSWorkspace) solvePassive(a *Matrix, b []float64, passive []bool) ([
 
 // solvePassiveInto solves the least-squares problem restricted to the
 // passive columns into ws.z, gathering the submatrix into the workspace and
-// factorizing with the preallocated QR — no allocation. The gathered values
-// and the factorization kernel are identical to the historical
-// CopyColumns + LeastSquares path, so the solution is bitwise-equal.
+// factorizing with the preallocated QR — no allocation. On the production
+// path a is the n×n R factor, so the gather and the factorization are
+// n×k. The gathered values and the factorization kernel are identical to
+// the allocating CopyColumns + LeastSquares path (solvePassive), so the
+// solution is bitwise-equal.
 func (ws *NNLSWorkspace) solvePassiveInto(a *Matrix, b []float64, passive []bool) error {
 	m, n := a.Rows(), a.Cols()
 	idx := ws.idx[:0]
@@ -367,82 +399,4 @@ func solvePassive(a *Matrix, b []float64, passive []bool) ([]float64, error) {
 		z[j] = zs[k]
 	}
 	return z, nil
-}
-
-// BoundedNNLS solves min ‖A·x−b‖ s.t. 0 ≤ x ≤ upper (element-wise), by a
-// simple projected refinement on top of NNLS. upper entries may be +Inf.
-func BoundedNNLS(a *Matrix, b []float64, upper []float64) ([]float64, error) {
-	ws := NewNNLSWorkspace(a.Rows(), a.Cols())
-	x := make([]float64, a.Cols())
-	if err := ws.BoundedSolveInto(x, a, b, upper); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
-// BoundedSolveInto is BoundedNNLS on caller-owned scratch: zero steady-state
-// allocations when reusing the workspace across solves.
-//
-//gpower:noalloc the projected refinement reuses the workspace's bound buffers
-func (ws *NNLSWorkspace) BoundedSolveInto(dst []float64, a *Matrix, b, upper []float64) error {
-	m, n := a.Rows(), a.Cols()
-	if len(upper) != n {
-		//gpower:allocs validation error path: a mis-sized bound vector never reaches the solver
-		return fmt.Errorf("linalg: BoundedNNLS upper length %d, want %d", len(upper), n)
-	}
-	x := dst
-	if err := ws.SolveInto(x, a, b); err != nil {
-		return err
-	}
-	clipped := false
-	for j := range x {
-		if x[j] > upper[j] {
-			x[j] = upper[j]
-			clipped = true
-		}
-	}
-	if !clipped {
-		return nil
-	}
-	// Re-solve the unclipped variables with the clipped contribution moved to
-	// the right-hand side, once. This is not a full active-set method over
-	// box constraints but is exact when the clip set is correct, which holds
-	// for the well-conditioned systems produced by the estimator.
-	rhs := ws.rhs[:m]
-	copy(rhs, b)
-	cols := ws.boundIdx[:0]
-	for j := 0; j < n; j++ {
-		if x[j] >= upper[j] && !math.IsInf(upper[j], 1) {
-			for i := 0; i < m; i++ {
-				rhs[i] -= a.At(i, j) * upper[j]
-			}
-		} else {
-			//gpower:allocs appends into ws.boundIdx, preallocated to maxCols, so at most n ≤ maxCols entries stay in capacity
-			cols = append(cols, j)
-		}
-	}
-	if len(cols) == 0 {
-		return nil
-	}
-	k := len(cols)
-	am := Matrix{rows: m, cols: k, data: ws.boundSubData[:m*k]}
-	for i := 0; i < m; i++ {
-		src := a.data[i*a.cols : (i+1)*a.cols]
-		row := am.data[i*k : (i+1)*k]
-		for p, j := range cols {
-			row[p] = src[j]
-		}
-	}
-	xs := ws.boundX[:k]
-	if err := ws.SolveInto(xs, &am, rhs); err != nil {
-		return err
-	}
-	for p, j := range cols {
-		v := xs[p]
-		if v > upper[j] {
-			v = upper[j]
-		}
-		x[j] = v
-	}
-	return nil
 }

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"gpupower/internal/stats"
@@ -249,24 +250,170 @@ func TestNNLSRHSLengthMismatch(t *testing.T) {
 	}
 }
 
-func TestBoundedNNLS(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{
-		{1, 0},
-		{0, 1},
-	})
-	b := []float64{5, 2}
-	x, err := BoundedNNLS(a, b, []float64{3, math.Inf(1)})
+// fullSystemNNLS runs the active set uncompressed: the injected passive
+// solver routes SolveInto past the R-factor compression, so this is the
+// Lawson–Hanson iteration on the original (A, b), with the workspace's own
+// passive-solve arithmetic.
+func fullSystemNNLS(t *testing.T, a *Matrix, b []float64) []float64 {
+	t.Helper()
+	x, err := nnls(a, b, solvePassive)
+	if err != nil {
+		t.Fatalf("full-system NNLS: %v", err)
+	}
+	return x
+}
+
+// checkKKT asserts the NNLS optimality conditions of x on the original
+// (A, b): x ≥ 0, a zero gradient on the free variables and a non-positive
+// one on the clamped variables, relative to ‖A‖max·‖b‖.
+func checkKKT(t *testing.T, name string, a *Matrix, b, x []float64) {
+	t.Helper()
+	r, err := Residual(a, x, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEq(x[0], 3, 1e-9) || !almostEq(x[1], 2, 1e-9) {
-		t.Fatalf("x = %v, want [3 2]", x)
+	g, err := a.TMulVec(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tol := 1e-8 * a.MaxAbs() * Norm2(b)
+	for j := range x {
+		switch {
+		case x[j] < 0:
+			t.Fatalf("%s: x[%d] = %g < 0", name, j, x[j])
+		case x[j] > 0 && math.Abs(g[j]) > tol:
+			t.Fatalf("%s: free variable %d has gradient %g (tol %g)", name, j, g[j], tol)
+		case x[j] == 0 && g[j] > tol:
+			t.Fatalf("%s: clamped variable %d wants to grow (gradient %g, tol %g)", name, j, g[j], tol)
+		}
 	}
 }
 
-func TestBoundedNNLSBadUpper(t *testing.T) {
-	a := NewMatrix(2, 2)
-	if _, err := BoundedNNLS(a, []float64{0, 0}, []float64{1}); err == nil {
-		t.Fatal("upper length mismatch accepted")
+// checkSameSolution asserts that the compressed solve x and the full-system
+// solve want have the same support and agree to within rel relative to
+// ‖want‖∞.
+func checkSameSolution(t *testing.T, name string, x, want []float64, rel float64) {
+	t.Helper()
+	scale := 0.0
+	for _, v := range want {
+		scale = math.Max(scale, math.Abs(v))
 	}
+	for j := range want {
+		if (x[j] > 0) != (want[j] > 0) {
+			t.Fatalf("%s: support differs at %d: compressed %v, full system %v", name, j, x, want)
+		}
+		if math.Abs(x[j]-want[j]) > rel*scale {
+			t.Fatalf("%s: x[%d] = %.17g, full system %.17g (rel tol %g of %g)", name, j, x[j], want[j], rel, scale)
+		}
+	}
+}
+
+// TestNNLSCompressedMatchesFullSystem is the differential test of the
+// R-factor compression: SolveInto on a tall system must reach the solution
+// the uncompressed active set (and the reference engine, NNLSRef) reaches
+// on the original system.
+func TestNNLSCompressedMatchesFullSystem(t *testing.T) {
+	solve := func(a *Matrix, b []float64) []float64 {
+		t.Helper()
+		ws := NewNNLSWorkspace(a.Rows(), a.Cols())
+		x := make([]float64, a.Cols())
+		if err := ws.SolveInto(x, a, b); err != nil {
+			t.Fatalf("SolveInto: %v", err)
+		}
+		return x
+	}
+
+	t.Run("random-tall", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		for trial := 0; trial < 60; trial++ {
+			n := 1 + rng.Intn(11)
+			m := n + 1 + rng.Intn(120)
+			a, b := randSystem(rng, m, n)
+			x := solve(a, b)
+			checkSameSolution(t, "random-tall", x, fullSystemNNLS(t, a, b), 1e-9)
+			ref, err := NNLSRef(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSameSolution(t, "random-tall vs NNLSRef", x, ref, 1e-9)
+			checkKKT(t, "random-tall", a, b, x)
+		}
+	})
+
+	t.Run("duplicate-columns", func(t *testing.T) {
+		// The V̄ ≡ 1 ablation shape: the core and memory static columns are
+		// both the all-ones column, so only their sum is identifiable. Both
+		// engines must fit the data equally well and satisfy KKT; the split
+		// between the twins is not pinned.
+		rng := rand.New(rand.NewSource(37))
+		for trial := 0; trial < 20; trial++ {
+			m, n := 40+rng.Intn(60), 6
+			a := NewMatrix(m, n)
+			b := make([]float64, m)
+			for i := 0; i < m; i++ {
+				fc, fm, u := 0.5+rng.Float64(), 0.5+rng.Float64(), rng.Float64()
+				row := []float64{1, fc, 1, fm, fc * u, fm * (1 - u)}
+				a.SetRow(i, row)
+				b[i] = 3 + 2*fc + fm + 4*fc*u + 0.01*rng.NormFloat64()
+			}
+			x := solve(a, b)
+			full := fullSystemNNLS(t, a, b)
+			checkKKT(t, "duplicate-columns", a, b, x)
+			checkKKT(t, "duplicate-columns full system", a, b, full)
+			if d := math.Abs((x[0] + x[2]) - (full[0] + full[2])); d > 1e-9*(full[0]+full[2]) {
+				t.Fatalf("trial %d: static sum %g vs full system %g", trial, x[0]+x[2], full[0]+full[2])
+			}
+			checkSameSolution(t, "duplicate-columns identifiable part", x[3:], full[3:], 1e-9)
+			if math.Abs(x[1]-full[1]) > 1e-9*math.Abs(full[1]) {
+				t.Fatalf("trial %d: x[1] = %g vs full system %g", trial, x[1], full[1])
+			}
+		}
+	})
+
+	t.Run("wide-and-square", func(t *testing.T) {
+		// m ≤ n is never compressed: SolveInto must be the full-system
+		// iteration bit for bit.
+		rng := rand.New(rand.NewSource(41))
+		for trial := 0; trial < 20; trial++ {
+			n := 2 + rng.Intn(10)
+			m := 1 + rng.Intn(n)
+			a, b := randSystem(rng, m, n)
+			x := solve(a, b)
+			want := fullSystemNNLS(t, a, b)
+			for j := range want {
+				if math.Float64bits(x[j]) != math.Float64bits(want[j]) {
+					t.Fatalf("trial %d (%dx%d): x[%d] = %x, full system %x", trial, m, n, j, x[j], want[j])
+				}
+			}
+		}
+	})
+
+	t.Run("zero-rhs", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(43))
+		a, _ := randSystem(rng, 50, 7)
+		x := solve(a, make([]float64, 50))
+		for j, v := range x {
+			if v != 0 {
+				t.Fatalf("x[%d] = %g, want 0 for a zero rhs", j, v)
+			}
+		}
+	})
+
+	t.Run("estimator-shape", func(t *testing.T) {
+		// 83 benchmarks × 64 configurations × 11 parameters, positive
+		// entries like the step-3 design.
+		rng := rand.New(rand.NewSource(47))
+		m, n := 83*64, 11
+		a := NewMatrix(m, n)
+		b := make([]float64, m)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				a.Set(i, j, rng.Float64())
+			}
+			b[i] = 50 + 200*rng.Float64()
+		}
+		x := solve(a, b)
+		checkSameSolution(t, "estimator-shape", x, fullSystemNNLS(t, a, b), 1e-9)
+		checkKKT(t, "estimator-shape", a, b, x)
+	})
 }

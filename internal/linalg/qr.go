@@ -213,16 +213,13 @@ func fullRank(rdia []float64) bool {
 	return true
 }
 
-// qrSolveInto solves the factored least-squares system into dst (len Cols),
-// using y (len Rows) as scratch for the Qᵀ·b application. It performs no
-// allocation; rank checking is the caller's responsibility.
-func qrSolveInto(qr *Matrix, rdia, dst, y, b []float64) {
+// applyQT overwrites y (len Rows) with Qᵀ·y, applying the packed
+// reflectors of the factorization in qr. Direct data indexing (not At/Set)
+// with the exact loop order of the historical accessor-based code: same
+// arithmetic, no per-element bounds re-checks.
+func applyQT(qr *Matrix, y []float64) {
 	m, n := qr.rows, qr.cols
 	data := qr.data
-	copy(y, b)
-	// Apply Qᵀ to b. Direct data indexing (not At/Set) with the exact loop
-	// order of the historical accessor-based code: same arithmetic, no
-	// per-element bounds re-checks.
 	for k := 0; k < n; k++ {
 		if data[k*n+k] == 0 {
 			continue
@@ -236,6 +233,16 @@ func qrSolveInto(qr *Matrix, rdia, dst, y, b []float64) {
 			y[i] += s * data[i*n+k]
 		}
 	}
+}
+
+// qrSolveInto solves the factored least-squares system into dst (len Cols),
+// using y (len Rows) as scratch for the Qᵀ·b application. It performs no
+// allocation; rank checking is the caller's responsibility.
+func qrSolveInto(qr *Matrix, rdia, dst, y, b []float64) {
+	n := qr.cols
+	data := qr.data
+	copy(y, b)
+	applyQT(qr, y)
 	// Back substitution R·x = y.
 	for k := n - 1; k >= 0; k-- {
 		s := y[k]
