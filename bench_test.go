@@ -237,7 +237,7 @@ func BenchmarkNNLS(b *testing.B) {
 	x := make([]float64, a.Cols())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ws.SolveInto(x, a, y); err != nil {
+		if err := ws.SolveInto(x, a, y, a.MaxAbs()*linalg.Norm2(y)); err != nil {
 			b.Fatal(err)
 		}
 	}

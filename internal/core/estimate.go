@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 
 	"gpupower/internal/backend"
 	"gpupower/internal/hw"
@@ -125,23 +126,27 @@ func modelToParams(m *Model) []float64 {
 // nUtil is the length of a benchmark's utilization base block: the six
 // CoreOmegaOrder components followed by DRAM. The estimator flattens each
 // sample's Utilization map into this fixed-order block once per fit, so the
-// per-iteration assembly loops never touch a map.
+// per-iteration loops never touch a map.
 const nUtil = 7
+
+// nBase is the width of the step-1/step-3 design's utilization base
+// W = [1 | u₁…u₆ | u_dram]: a constant column followed by a base block.
+const nBase = 1 + nUtil
 
 // estimatorWorkspace carries every buffer the Section III-D alternation
 // reuses across iterations (DESIGN.md §10): the flattened utilization base
-// blocks, the full-ladder design matrix and right-hand side, the NNLS
-// workspace for the step-1/step-3 refits, and the step-2/SSE scratch. One
-// workspace serves one Estimate call; nothing in it is goroutine-safe.
+// blocks, the compressed step-1/step-3 design, the NNLS workspace for the
+// refits, and the step-2/SSE scratch. One workspace serves one Estimate
+// call; nothing in it is goroutine-safe.
 //
-// The incremental design assembly exploits the factored structure of the
-// regression row: every voltage-dependent entry is one of the per-config
-// scalars vc, s1 = vc²·fc, vm, s3 = vm²·fm times a per-sample utilization
-// constant. The base blocks are computed once; each refit only rescales
-// them in place. The arithmetic — s1·u instead of vc·vc·fc·u — preserves
-// the float association of designRowInto exactly, so the assembled system
-// (and therefore the fitted model) is bitwise-identical to the historical
-// row-by-row path; estimate_equiv_test.go pins this.
+// The compressed design exploits the factored structure of the regression
+// row: configuration c's row block of the full design is W·E_c, where W is
+// the nb × nBase utilization base (fixed for the whole fit) and E_c is an
+// nBase × nParams map holding only vc, s1 = vc²·fc, vm and s3 = vm²·fm.
+// reset factors W = Q·R once; then ‖W·E_c·x − p_c‖² = ‖R·E_c·x − y_c‖² +
+// const with y_c = (Qᵀ·p_c)[:nBase], so every refit solves an
+// nBase-rows-per-configuration system with the full design's minimizer,
+// however many benchmarks the dataset has (DESIGN.md §10.2).
 type estimatorWorkspace struct {
 	d  *Dataset
 	nb int
@@ -149,26 +154,30 @@ type estimatorWorkspace struct {
 	// ubase is nb base blocks of nUtil entries each (flat, stride nUtil).
 	ubase []float64
 
-	a    *linalg.Matrix // nb·len(Configs) × nParams design (step-3 shape)
-	bvec []float64
+	// k is the row count of one configuration's compressed block:
+	// min(nb, nBase). g (k × nBase, row-major) is R of W when nb > nBase
+	// and W itself otherwise; y holds each configuration's k-entry
+	// right-hand side (stride k, configuration order).
+	k    int
+	w    *linalg.Matrix
+	wqr  *linalg.QRWorkspace
+	g    *linalg.Matrix
+	y    []float64
+	pcol []float64 // one power column, rotated by Qᵀ in reset
+
+	// uMaxCore and uMaxDRAM are the largest core and DRAM utilization
+	// magnitudes, which bound the full design's entries (designMaxAbs).
+	uMaxCore, uMaxDRAM float64
+
+	// normIdx memoizes normB = ‖b‖₂ of the full design's right-hand side
+	// over configuration subset normIdx: a fit solves the same subset
+	// every iteration, and ‖b‖ depends on nothing else.
+	normIdx []int
+	normB   float64
+
+	s    *linalg.Matrix // k·|idx| × nParams compressed system
+	sb   []float64
 	nnls *linalg.NNLSWorkspace
-
-	// Subset-shape buffers for the step-1 {F1,F2,F3} solve. Historically
-	// this path silently allocated a fresh matrix + rhs on every call; the
-	// cache keeps repeated fits (the fleet scenario) allocation-free.
-	subA *linalg.Matrix
-	subB []float64
-
-	// fill* carry solveXInto's per-call arguments to fillRowBlock, and
-	// fillFn memoizes the bound method value. A closure literal passed to
-	// parallel.ForEach escapes and allocates even on the inline serial
-	// path (the MulInto closure-escape trap), so the assembly loop's
-	// callback is built once per workspace instead of once per solve.
-	fillA    *linalg.Matrix
-	fillB    []float64
-	fillVolt *VoltageTable
-	fillIdx  []int
-	fillFn   func(k int) error
 
 	A, B    []float64 // step-2 per-benchmark precomputes
 	partial []float64 // trainingSSE per-config partial sums
@@ -184,48 +193,101 @@ func growFloats(s []float64, n int) []float64 {
 	return s[:n]
 }
 
+// reshape is Matrix.Reshape that also creates the matrix on first use.
+func reshape(m *linalg.Matrix, rows, cols int) *linalg.Matrix {
+	if m == nil {
+		return linalg.NewMatrix(rows, cols)
+	}
+	m.Reshape(rows, cols)
+	return m
+}
+
 // newEstimatorWorkspace sizes a workspace for dataset d and flattens the
 // utilization base blocks.
 func newEstimatorWorkspace(d *Dataset) *estimatorWorkspace {
 	ws := &estimatorWorkspace{}
-	ws.reset(d)
+	if err := ws.reset(d); err != nil {
+		panic(err) // unreachable: nb ≥ 1 rows always factorize
+	}
 	return ws
 }
 
 // reset retargets the workspace at dataset d, growing buffers only when d
 // needs more capacity than any dataset seen before and re-deriving all
-// dataset-dependent state (the flattened utilization base blocks). A reused
-// workspace therefore produces bitwise-identical fits to a fresh one: every
-// buffer is either fully rewritten here or fully rewritten by the assembly
-// loops before it is read. This is what lets fleet fitting hold one
-// workspace per worker across many heterogeneous device fits.
-func (ws *estimatorWorkspace) reset(d *Dataset) {
-	nb := len(d.Benchmarks)
-	rows := nb * len(d.Configs)
+// dataset-dependent state: the flattened utilization base blocks and the
+// compressed design's base g and right-hand sides y. A reused workspace
+// therefore produces bitwise-identical fits to a fresh one: every buffer is
+// either fully rewritten here or fully rewritten by the assembly loops
+// before it is read. This is what lets fleet fitting hold one workspace per
+// worker across many heterogeneous device fits.
+func (ws *estimatorWorkspace) reset(d *Dataset) error {
+	nb, nc := len(d.Benchmarks), len(d.Configs)
 	ws.d = d
 	ws.nb = nb
+	ws.k = min(nb, nBase)
 	ws.ubase = growFloats(ws.ubase, nb*nUtil)
-	if ws.a == nil {
-		ws.a = linalg.NewMatrix(rows, nParams)
-	} else {
-		ws.a.Reshape(rows, nParams)
+	ws.A = growFloats(ws.A, nb)
+	ws.B = growFloats(ws.B, nb)
+	ws.partial = growFloats(ws.partial, nc)
+	ws.normIdx = ws.normIdx[:0]
+	ws.uMaxCore, ws.uMaxDRAM = 0, 0
+	ws.w = reshape(ws.w, nb, nBase)
+	for bi, bench := range d.Benchmarks {
+		ub := ws.ubase[bi*nUtil : (bi+1)*nUtil]
+		for i, c := range CoreOmegaOrder {
+			ub[i] = bench.Util[c]
+			ws.uMaxCore = math.Max(ws.uMaxCore, math.Abs(ub[i]))
+		}
+		ub[nUtil-1] = bench.Util[hw.DRAM]
+		ws.uMaxDRAM = math.Max(ws.uMaxDRAM, math.Abs(ub[nUtil-1]))
+		row := ws.w.RowView(bi)
+		row[0] = 1
+		copy(row[1:], ub)
 	}
-	ws.bvec = growFloats(ws.bvec, rows)
+
+	k := ws.k
+	ws.g = reshape(ws.g, k, nBase)
+	ws.y = growFloats(ws.y, nc*k)
+	ws.pcol = growFloats(ws.pcol, nb)
+	if nb > nBase {
+		if ws.wqr == nil {
+			ws.wqr = linalg.NewQRWorkspace(nb, nBase)
+		} else {
+			ws.wqr.Ensure(nb, nBase)
+		}
+		if err := ws.wqr.Factorize(ws.w); err != nil {
+			return err
+		}
+		if err := ws.wqr.RInto(ws.g); err != nil {
+			return err
+		}
+	} else {
+		for r := 0; r < k; r++ {
+			copy(ws.g.RowView(r), ws.w.RowView(r))
+		}
+	}
+	for fi := 0; fi < nc; fi++ {
+		p := ws.pcol
+		for bi := 0; bi < nb; bi++ {
+			p[bi] = d.Power[bi][fi]
+		}
+		if nb > nBase {
+			if err := ws.wqr.ApplyQT(p); err != nil {
+				return err
+			}
+		}
+		copy(ws.y[fi*k:(fi+1)*k], p[:k])
+	}
+
+	rows := k * nc
+	ws.s = reshape(ws.s, rows, nParams)
+	ws.sb = growFloats(ws.sb, rows)
 	if ws.nnls == nil {
 		ws.nnls = linalg.NewNNLSWorkspace(rows, nParams)
 	} else {
 		ws.nnls.Ensure(rows, nParams)
 	}
-	ws.A = growFloats(ws.A, nb)
-	ws.B = growFloats(ws.B, nb)
-	ws.partial = growFloats(ws.partial, len(d.Configs))
-	for bi, bench := range d.Benchmarks {
-		ub := ws.ubase[bi*nUtil : (bi+1)*nUtil]
-		for i, c := range CoreOmegaOrder {
-			ub[i] = bench.Util[c]
-		}
-		ub[nUtil-1] = bench.Util[hw.DRAM]
-	}
+	return nil
 }
 
 // ub returns benchmark bi's utilization base block.
@@ -237,72 +299,81 @@ func (ws *estimatorWorkspace) ub(bi int) []float64 {
 // the given configuration indices, using the current voltage table (step 1
 // with V̄ ≡ 1, step 3 with the estimated voltages), writing the parameter
 // vector into dst (len nParams).
-//
-// The design-matrix assembly is parallelized across configurations: the k-th
-// configuration owns the contiguous row block [k·nb, (k+1)·nb), so workers
-// write disjoint slices of the matrix and the assembled system is
-// bitwise-identical to the serial one. Rows are filled through RowView from
-// the precomputed base blocks — no per-row scratch, no map lookups, and
-// (for the full-ladder shape) no allocation.
 func (ws *estimatorWorkspace) solveXInto(dst []float64, volt *VoltageTable, configIdx []int) error {
-	rows := ws.nb * len(configIdx)
-	a, b := ws.a, ws.bvec
-	if rows != a.Rows() {
-		// Subset solves (the step-1 {F1,F2,F3} system) use cached
-		// right-sized buffers — a right-sized matrix keeps the NNLS scaling
-		// identical to the historical path, and the cache keeps repeated
-		// fits through a reused workspace allocation-free.
-		if ws.subA == nil {
-			ws.subA = linalg.NewMatrix(rows, nParams)
-		} else if ws.subA.Rows() != rows {
-			ws.subA.Reshape(rows, nParams)
-		}
-		ws.subB = growFloats(ws.subB, rows)
-		a, b = ws.subA, ws.subB
-	}
-	if ws.fillFn == nil {
-		ws.fillFn = ws.fillRowBlock
-	}
-	ws.fillA, ws.fillB, ws.fillVolt, ws.fillIdx = a, b, volt, configIdx
-	err := parallel.ForEach(len(configIdx), ws.fillFn)
-	ws.fillVolt, ws.fillIdx = nil, nil
+	scale, err := ws.assemble(volt, configIdx)
 	if err != nil {
 		return err
 	}
-	return ws.nnls.SolveInto(dst, a, b)
+	return ws.nnls.SolveInto(dst, ws.s, ws.sb[:ws.s.Rows()], scale)
 }
 
-// fillRowBlock assembles configuration k's contiguous row block of the
-// design system staged in ws.fill* by solveXInto. Workers read the shared
-// fill state and write disjoint row ranges only.
-func (ws *estimatorWorkspace) fillRowBlock(k int) error {
-	d, nb := ws.d, ws.nb
-	a, b := ws.fillA, ws.fillB
-	fi := ws.fillIdx[k]
-	cfg := d.Configs[fi]
-	vc, vm, err := ws.fillVolt.At(cfg)
-	if err != nil {
-		return err
-	}
-	fc, fm := cfg.CoreMHz, cfg.MemMHz
-	s1 := vc * vc * fc
-	s3 := vm * vm * fm
-	r := k * nb
-	for bi := 0; bi < nb; bi++ {
-		row := a.RowView(r)
-		ub := ws.ub(bi)
-		row[0] = vc
-		row[1] = s1
-		row[2] = vm
-		row[3] = s3
-		for i := 0; i < nUtil-1; i++ {
-			row[4+i] = s1 * ub[i]
+// assemble fills ws.s and ws.sb with the compressed system of the given
+// configurations: configuration c's block is R·E_c against y_c, k rows
+// instead of nb (see estimatorWorkspace). The system has the full design's
+// normal equations, so it has the same minimizer. It returns the NNLS
+// tolerance scale of the full design, ‖A‖max·‖b‖₂, computed exactly
+// without building the design (designMaxAbs, rhsNorm), so the active set
+// stops where it would on the full design.
+func (ws *estimatorWorkspace) assemble(volt *VoltageTable, configIdx []int) (float64, error) {
+	d, k := ws.d, ws.k
+	ws.s.Reshape(k*len(configIdx), nParams)
+	var amax float64
+	r := 0
+	for _, fi := range configIdx {
+		cfg := d.Configs[fi]
+		vc, vm, err := volt.At(cfg)
+		if err != nil {
+			return 0, err
 		}
-		row[nParams-1] = s3 * ub[nUtil-1]
-		b[r] = d.Power[bi][fi]
-		r++
+		fc, fm := cfg.CoreMHz, cfg.MemMHz
+		s1 := vc * vc * fc
+		s3 := vm * vm * fm
+		amax = math.Max(amax, ws.designMaxAbs(vc, s1, vm, s3))
+		for gi := 0; gi < k; gi++ {
+			row := ws.s.RowView(r)
+			g := ws.g.RowView(gi)
+			row[0] = vc * g[0]
+			row[1] = s1 * g[0]
+			row[2] = vm * g[0]
+			row[3] = s3 * g[0]
+			for i := 1; i < nBase-1; i++ {
+				row[3+i] = s1 * g[i]
+			}
+			row[nParams-1] = s3 * g[nBase-1]
+			r++
+		}
+		copy(ws.sb[r-k:r], ws.y[fi*k:(fi+1)*k])
 	}
-	return nil
+	return amax * ws.rhsNorm(configIdx), nil
+}
+
+// designMaxAbs is the largest entry magnitude of one configuration's block
+// of the full design: its entries are vc, s1, vm, s3 and s1·u, s3·u_dram.
+// Rounding is monotone, so |s1|·u_max rounds to the largest |s1·u| the
+// full design holds, and the result is bit-equal to a scan of the block.
+func (ws *estimatorWorkspace) designMaxAbs(vc, s1, vm, s3 float64) float64 {
+	m := math.Max(math.Abs(vc), math.Abs(vm))
+	m = math.Max(m, math.Abs(s1)*math.Max(1, ws.uMaxCore))
+	return math.Max(m, math.Abs(s3)*math.Max(1, ws.uMaxDRAM))
+}
+
+// rhsNorm returns ‖b‖₂ of the full design's right-hand side over the given
+// configurations, with Norm2's arithmetic in the full design's row order,
+// so it is bit-equal to linalg.Norm2 of that vector. It is memoized on the
+// subset: every step-3 solve of a fit reuses the first one's value.
+func (ws *estimatorWorkspace) rhsNorm(configIdx []int) float64 {
+	if slices.Equal(configIdx, ws.normIdx) {
+		return ws.normB
+	}
+	var acc linalg.NormAcc
+	for _, fi := range configIdx {
+		for bi := 0; bi < ws.nb; bi++ {
+			acc.Add(ws.d.Power[bi][fi])
+		}
+	}
+	ws.normIdx = append(ws.normIdx[:0], configIdx...)
+	ws.normB = acc.Norm()
+	return ws.normB
 }
 
 // solveX is the workspace-per-call form of solveXInto, kept for tests and
@@ -324,11 +395,11 @@ func solveX(d *Dataset, volt *VoltageTable, configIdx []int) ([]float64, error) 
 // The per-configuration objective Σ_b (P_b − β0·vc − fc·A_b·vc² − β2·vm −
 // fm·B_b·vm²)² is compiled into a closed-form bivariate quartic
 // (linalg.Quartic2D) before the search: the benchmark sum collapses into
-// thirteen monomial coefficients, one O(nb) pass per configuration, so every
-// evaluation inside the golden-section descent costs O(1) instead of O(nb).
-// This removed the dominant cost of a fit (the objective loop was >50% of
-// Estimate's profile); EstimateReference keeps the direct-evaluation
-// arithmetic as the measured baseline.
+// thirteen monomial coefficients, one O(nb) pass per configuration, and the
+// search then runs on the coefficients alone: exact axis searches plus a
+// Newton step per sweep (Quartic2D.Minimize, DESIGN.md §10.2b).
+// EstimateReference keeps the direct-evaluation golden-section arithmetic as
+// the measured baseline.
 func (ws *estimatorWorkspace) solveVoltages(x []float64, volt *VoltageTable, opts *EstimatorOptions) error {
 	// Precompute A_b = β1 + Σ ω_i U_ib and B_b = β3 + ω_mem·U_dram,b on the
 	// reused workspace buffers, reading the flattened base blocks (same
@@ -536,13 +607,14 @@ type FitWorkspace struct {
 func NewFitWorkspace() *FitWorkspace { return &FitWorkspace{} }
 
 // prepare retargets the workspace at dataset d.
-func (fw *FitWorkspace) prepare(d *Dataset) *estimatorWorkspace {
+func (fw *FitWorkspace) prepare(d *Dataset) (*estimatorWorkspace, error) {
 	if fw.ws == nil {
-		fw.ws = newEstimatorWorkspace(d)
-	} else {
-		fw.ws.reset(d)
+		fw.ws = &estimatorWorkspace{}
 	}
-	return fw.ws
+	if err := fw.ws.reset(d); err != nil {
+		return nil, err
+	}
+	return fw.ws, nil
 }
 
 // Estimate runs the Section III-D algorithm on a training dataset and
@@ -590,7 +662,10 @@ func EstimateWith(ctx context.Context, d *Dataset, opts *EstimatorOptions, fw *F
 	if fw == nil {
 		fw = NewFitWorkspace()
 	}
-	ws := fw.prepare(d)
+	ws, err := fw.prepare(d)
+	if err != nil {
+		return nil, err
+	}
 	x := make([]float64, nParams)
 
 	// Known-voltage simplification (Section III-D): copy the measured

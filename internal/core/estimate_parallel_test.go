@@ -151,9 +151,10 @@ func TestTrainingSSEPropagatesVoltageError(t *testing.T) {
 	}
 }
 
-// TestSolveXParallelMatchesSequential pins the step-1/step-3 design
-// assembly: the row blocks written by the worker pool must assemble the
-// same system (hence the same NNLS solution) as the sequential path.
+// TestSolveXParallelMatchesSequential pins the step-1/step-3 solve: the
+// factorizations behind it (the utilization base's and the compressed
+// system's blocked QR) must give the same NNLS solution under the worker
+// pool as on the sequential path.
 func TestSolveXParallelMatchesSequential(t *testing.T) {
 	truth := defaultSyntheticTruth()
 	d := syntheticDataset(truth, 25, 0.25, 5)

@@ -33,7 +33,7 @@ func nnls(a *Matrix, b []float64, solve passiveSolver) ([]float64, error) {
 		ws.testSolve, ws.resid = solve, make([]float64, a.Rows())
 	}
 	x := make([]float64, a.Cols())
-	if err := ws.SolveInto(x, a, b); err != nil {
+	if err := ws.SolveInto(x, a, b, a.MaxAbs()*Norm2(b)); err != nil {
 		return nil, err
 	}
 	return x, nil
@@ -117,19 +117,25 @@ func (ws *NNLSWorkspace) Ensure(maxRows, maxCols int) {
 
 // SolveInto solves min ‖A·x − b‖ s.t. x ≥ 0 into dst (len Cols).
 //
+// scale sets the KKT stopping tolerance (1e-10·scale on the gradient); NNLS
+// passes ‖A‖max·‖b‖₂ of the system it solves. A caller that hands in an
+// equivalent compressed system — same normal equations, fewer rows — passes
+// the scale of the original system instead, so the active set stops where it
+// would have stopped on the original (DESIGN.md §10.1). A zero scale means A
+// or b is all-zero, and x = 0 is returned.
+//
 // A tall system (Rows > Cols) is first Householder-factorized once,
 // A = Q·R, and the active set then runs on the n×n problem
 // min ‖R·x − Q₁ᵀ·b‖: the two objectives differ by the constant ‖Q₂ᵀ·b‖², so
 // they share the minimizer and the KKT gradient Aᵀ(b − A·x) = Rᵀ(Q₁ᵀ·b − R·x).
 // Every passive solve is then a QR of an n×k matrix and every gradient or
-// residual pass is n×n, however many rows A has. The stopping tolerance is
-// still scaled by the original A and b.
+// residual pass is n×n, however many rows A has.
 //
 // The allocating NNLS entry point runs this same path, so the two are
 // bitwise-identical; only the storage strategy differs.
 //
 //gpower:noalloc the compression and the active-set iteration run entirely on preallocated workspace storage
-func (ws *NNLSWorkspace) SolveInto(dst []float64, a *Matrix, b []float64) error {
+func (ws *NNLSWorkspace) SolveInto(dst []float64, a *Matrix, b []float64, scale float64) error {
 	m, n := a.Rows(), a.Cols()
 	if len(b) != m {
 		//gpower:allocs validation error path: a mis-sized rhs never reaches the solver
@@ -152,8 +158,6 @@ func (ws *NNLSWorkspace) SolveInto(dst []float64, a *Matrix, b []float64) error 
 		maxOuter = 3 * 64
 		tol      = 1e-10
 	)
-	// Scale tolerance with the original problem, compressed or not.
-	scale := a.MaxAbs() * Norm2(b)
 	if scale == 0 {
 		return nil // A or b is all-zero; x = 0 is optimal.
 	}
@@ -293,19 +297,11 @@ func (ws *NNLSWorkspace) compress(a *Matrix, b []float64) error {
 	if err := ws.tall.Factorize(a); err != nil {
 		return err
 	}
-	f := &ws.tall.qr
 	y := ws.tall.y[:a.Rows()]
 	copy(y, b)
-	applyQT(f, y)
+	applyQT(&ws.tall.qr, y)
 	ws.r = Matrix{rows: n, cols: n, data: ws.rData[:n*n]}
-	for i := 0; i < n; i++ {
-		row := ws.r.data[i*n : (i+1)*n]
-		for j := 0; j < i; j++ {
-			row[j] = 0
-		}
-		row[i] = ws.tall.rdia[i]
-		copy(row[i+1:], f.data[i*n+i+1:(i+1)*n])
-	}
+	ws.tall.upperInto(ws.r.data)
 	return nil
 }
 

@@ -317,7 +317,7 @@ func TestNNLSCompressedMatchesFullSystem(t *testing.T) {
 		t.Helper()
 		ws := NewNNLSWorkspace(a.Rows(), a.Cols())
 		x := make([]float64, a.Cols())
-		if err := ws.SolveInto(x, a, b); err != nil {
+		if err := ws.SolveInto(x, a, b, a.MaxAbs()*Norm2(b)); err != nil {
 			t.Fatalf("SolveInto: %v", err)
 		}
 		return x

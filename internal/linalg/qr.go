@@ -350,6 +350,56 @@ func (w *QRWorkspace) FullRank() bool {
 	return w.factored && fullRank(w.rdia[:w.qr.cols])
 }
 
+// Ensure grows the workspace to factorize matrices with rows ≤ maxRows and
+// cols ≤ maxCols, reallocating only when the request exceeds the current
+// capacity. Growing never changes a factorization: Factorize rewrites every
+// buffer it reads.
+func (w *QRWorkspace) Ensure(maxRows, maxCols int) {
+	if maxRows <= w.maxRows && maxCols <= w.maxCols {
+		return
+	}
+	*w = *NewQRWorkspace(max(maxRows, w.maxRows), max(maxCols, w.maxCols))
+}
+
+// ApplyQT overwrites y (len Rows of the last Factorize) with Qᵀ·y.
+func (w *QRWorkspace) ApplyQT(y []float64) error {
+	if !w.factored {
+		return fmt.Errorf("linalg: QR workspace ApplyQT before Factorize")
+	}
+	if len(y) != w.qr.rows {
+		return fmt.Errorf("linalg: QR ApplyQT length %d, want %d", len(y), w.qr.rows)
+	}
+	applyQT(&w.qr, y)
+	return nil
+}
+
+// RInto copies the upper-triangular factor R of the last Factorize into dst,
+// which must be Cols×Cols; entries below the diagonal are zeroed.
+func (w *QRWorkspace) RInto(dst *Matrix) error {
+	n := w.qr.cols
+	if !w.factored {
+		return fmt.Errorf("linalg: QR workspace RInto before Factorize")
+	}
+	if dst.rows != n || dst.cols != n {
+		return fmt.Errorf("linalg: QR RInto destination %dx%d, want %dx%d", dst.rows, dst.cols, n, n)
+	}
+	w.upperInto(dst.data)
+	return nil
+}
+
+// upperInto writes R (n×n row-major, zeros below the diagonal) into dst.
+func (w *QRWorkspace) upperInto(dst []float64) {
+	n := w.qr.cols
+	for i := 0; i < n; i++ {
+		row := dst[i*n : (i+1)*n]
+		for j := 0; j < i; j++ {
+			row[j] = 0
+		}
+		row[i] = w.rdia[i]
+		copy(row[i+1:], w.qr.data[i*n+i+1:(i+1)*n])
+	}
+}
+
 // SolveInto writes x minimizing ‖A·x − b‖₂ into dst (len Cols of the last
 // Factorize), allocating nothing. It returns ErrRankDeficient when the
 // factorized matrix is numerically rank-deficient.

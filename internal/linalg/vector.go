@@ -19,26 +19,42 @@ func Dot(a, b []float64) float64 {
 
 // Norm2 returns the Euclidean norm of v, guarding against overflow.
 func Norm2(v []float64) float64 {
-	var scale, ssq float64
-	ssq = 1
+	var acc NormAcc
 	for _, x := range v {
-		if x == 0 {
-			continue
-		}
-		ax := math.Abs(x)
-		if scale < ax {
-			r := scale / ax
-			ssq = 1 + ssq*r*r
-			scale = ax
-		} else {
-			r := ax / scale
-			ssq += r * r
-		}
+		acc.Add(x)
 	}
-	if scale == 0 {
+	return acc.Norm()
+}
+
+// NormAcc accumulates the Euclidean norm of a stream of values with Norm2's
+// overflow-safe scaling: adding v's entries in order and calling Norm gives
+// Norm2(v) bit for bit. The zero value is an empty stream.
+type NormAcc struct {
+	scale, ssq float64
+}
+
+// Add appends x to the stream.
+func (a *NormAcc) Add(x float64) {
+	if x == 0 {
+		return
+	}
+	ax := math.Abs(x)
+	if a.scale < ax {
+		r := a.scale / ax
+		a.ssq = 1 + a.ssq*r*r
+		a.scale = ax
+	} else {
+		r := ax / a.scale
+		a.ssq += r * r
+	}
+}
+
+// Norm returns the norm of the values added so far.
+func (a *NormAcc) Norm() float64 {
+	if a.scale == 0 {
 		return 0
 	}
-	return scale * math.Sqrt(ssq)
+	return a.scale * math.Sqrt(a.ssq)
 }
 
 // Axpy computes y ← y + alpha·x in place.

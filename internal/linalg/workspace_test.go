@@ -73,7 +73,7 @@ func TestNNLSWorkspaceMatchesNNLS(t *testing.T) {
 			t.Fatalf("NNLS: %v", err)
 		}
 		got := make([]float64, n)
-		if err := ws.SolveInto(got, a, b); err != nil {
+		if err := ws.SolveInto(got, a, b, a.MaxAbs()*Norm2(b)); err != nil {
 			t.Fatalf("SolveInto: %v", err)
 		}
 		for j := range want {
@@ -181,11 +181,11 @@ func TestNNLSWorkspaceSolveIntoAllocFree(t *testing.T) {
 	x := make([]float64, 11)
 	// Warm-up solve (idx capacity growth etc. happens in NewNNLSWorkspace,
 	// but warm once anyway to mirror steady-state use).
-	if err := ws.SolveInto(x, a, b); err != nil {
+	if err := ws.SolveInto(x, a, b, a.MaxAbs()*Norm2(b)); err != nil {
 		t.Fatalf("warm-up SolveInto: %v", err)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if err := ws.SolveInto(x, a, b); err != nil {
+		if err := ws.SolveInto(x, a, b, a.MaxAbs()*Norm2(b)); err != nil {
 			t.Fatalf("SolveInto: %v", err)
 		}
 	})
